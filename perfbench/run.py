@@ -21,10 +21,14 @@ WORKLOADS = ("paper_serial", "paper_parallel", "serve_sessions")
 
 
 def source_digest(root):
-    """SHA-256 over the library sources and build file, so a result can be
-    tied to the code that produced it when there is no git metadata."""
+    """SHA-256 over the library sources, the benchmark's sources and both
+    build files, so a result can be tied to the code that produced it when
+    there is no git metadata. It also keys the determinism record, so a
+    build of other code never checks against it."""
     digest = hashlib.sha256()
-    files = [root / "CMakeLists.txt"] + sorted((root / "src").rglob("*"))
+    files = ([root / "CMakeLists.txt", root / "perfbench" / "CMakeLists.txt"] +
+             sorted((root / "src").rglob("*")) +
+             sorted((root / "perfbench" / "src").rglob("*")))
     for path in files:
         if path.is_file():
             digest.update(str(path.relative_to(root)).encode())

@@ -11,6 +11,8 @@ connections, one-second runs):
   * paper_serial and paper_parallel map every code to the same latency;
   * a deliberately corrupted trace trips the correctness gate (non-zero
     exit, "correct": false) on a paper and on the serve workload;
+  * a determinism record of these sources that disagrees with the run
+    fails it, and a record of other sources is ignored;
   * without the library sources next to it the benchmark exits non-zero
     and prints no result.
 Exits 0 when every check passes.
@@ -68,6 +70,34 @@ def check_metrics(workload, trace, result, expected):
                   f"{label}: {metric['name']} value is not a number")
 
 
+def check_determinism_record():
+    """The paper workloads check their results against the record of the
+    first run of the same sources. A disagreeing record of these sources
+    must fail the run; one of other sources must not be read."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import source_digest
+    out = ROOT / ".bench_build" / "perfbench-out"
+    mine = out / f"determinism-{source_digest(ROOT)}-seed1-m2.txt"
+    other = out / "determinism-0000000000000000-seed1-m2.txt"
+    if not mine.is_file():
+        check(False, f"no determinism record {mine.name}")
+        return
+    saved = mine.read_text()
+    bogus = "".join(f"{line.split()[0]} 0\n" for line in saved.splitlines())
+    try:
+        other.write_text(bogus)
+        code, result, _, _ = run("paper_serial", 0)
+        check(code == 0 and result is not None and result["correct"],
+              "a determinism record of other sources failed the run")
+        mine.write_text(bogus)
+        code, result, _, _ = run("paper_serial", 0)
+        check(code != 0 and result is not None and not result["correct"],
+              "a disagreeing determinism record did not fail the run")
+    finally:
+        mine.write_text(saved)
+        other.unlink(missing_ok=True)
+
+
 def main():
     latencies = {}
     for workload in (w["name"] for w in SPEC["workloads"]):
@@ -96,6 +126,8 @@ def main():
     check(len(latencies) == 2 and
           latencies["paper_serial"] == latencies["paper_parallel"],
           f"serial and parallel latencies differ: {latencies}")
+
+    check_determinism_record()
 
     for workload in ("paper_serial", "serve_sessions"):
         code, result, _, _ = run(workload, 0, "--corrupt-trace")

@@ -9,10 +9,15 @@
 // detail record (build stamp, sample counts, per-program rows). Exits 1
 // when any correctness check fails, 2 on bad arguments.
 //
+// `perfbench --setup-probe <workers>` is the set-up probe the paper
+// workloads spawn to time setup_s (see paper.cpp).
+//
 // --trace 1 runs the workload twice in one process: untraced, then traced
 // with spans kept in memory, followed by the layer replays. The difference
 // of the two phases' end-to-end numbers is the tracing overhead; the spans
 // are written as Chrome trace-event JSON to <out-dir>.
+#include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -46,6 +51,7 @@ const std::vector<std::pair<const char*, const char*>> kPerLayer = {
     {"core.mvfb.placement_runs", "count"},
     {"core.mvfb.trial_cpu_ms", "ms"},
     {"core.engine.setup_ms", "ms"},
+    {"core.engine.build_ms", "ms"},
     {"core.engine.parallel_efficiency", "ratio"},
     {"core.engine.idle_frac", "ratio"},
     {"route.pathfinder.negotiate_ms", "ms"},
@@ -79,7 +85,8 @@ int usage() {
                "<paper_serial|paper_parallel|serve_sessions> --seed <n> "
                "--seconds <s> --trace <0|1> --serve-bin <path> "
                "--out-dir <dir> [--commit <id>] [--source-digest <hex>] "
-               "[--tiny] [--corrupt-trace]\n";
+               "[--tiny] [--corrupt-trace]\n"
+               "       perfbench --setup-probe <workers>\n";
   return 2;
 }
 
@@ -95,7 +102,7 @@ PhaseResult run_phase(const RunSettings& settings, Tracer& tracer, bool check) {
 }
 
 void write_stamp(qspr::JsonWriter& json, const RunSettings& settings,
-                 const std::string& commit, const std::string& digest) {
+                 const std::string& commit) {
   json.key("stamp").begin_object();
   json.field("hardware_concurrency",
              static_cast<long long>(std::thread::hardware_concurrency()));
@@ -103,7 +110,7 @@ void write_stamp(qspr::JsonWriter& json, const RunSettings& settings,
   json.field("cxx_flags", PERFBENCH_CXX_FLAGS);
   json.field("compiler", PERFBENCH_COMPILER);
   json.field("git_commit", commit);
-  json.field("source_digest", digest);
+  json.field("source_digest", settings.source_digest);
   json.field("workload", settings.workload);
   json.field("seed", static_cast<long long>(settings.seed));
   json.field("run_seconds", settings.seconds);
@@ -124,7 +131,14 @@ int main(int argc, char** argv) {
   RunSettings settings;
   bool trace = false;
   std::string commit = "unknown";
-  std::string digest = "unknown";
+  settings.self_binary = argv[0];
+  if (argc == 3 && std::string(argv[1]) == "--setup-probe") {
+    try {
+      return perfbench::setup_probe_main(std::stoi(argv[2]));
+    } catch (const std::exception&) {
+      return usage();
+    }
+  }
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -149,7 +163,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--commit") {
         commit = next();
       } else if (arg == "--source-digest") {
-        digest = next();
+        settings.source_digest = next();
       } else if (arg == "--tiny") {
         settings.tiny = true;
       } else if (arg == "--corrupt-trace") {
@@ -170,6 +184,12 @@ int main(int argc, char** argv) {
       (settings.workload == "serve_sessions" && settings.serve_binary.empty())) {
     return usage();
   }
+  // The digest names the determinism record file.
+  if (settings.source_digest.empty() ||
+      !std::all_of(settings.source_digest.begin(), settings.source_digest.end(),
+                   [](unsigned char c) { return std::isalnum(c) != 0; })) {
+    return usage();
+  }
 
   try {
     std::filesystem::create_directories(settings.out_dir);
@@ -181,17 +201,33 @@ int main(int argc, char** argv) {
     }
     PhaseResult phase = run_phase(settings, tracer, true);
     std::string trace_path;
+    // Recorder cost per span (ns) and the traced minus the untraced phase's
+    // map_ms_p50 (ms).
+    std::pair<double, double> trace_detail;
     if (trace) {
+      // Tracing overhead per request: the recorder's measured cost per
+      // span times the spans the traced phase opened per request inside the
+      // timed region (its "map" spans). The difference of the two phases'
+      // medians is kept as a detail only: each phase runs for the whole
+      // --seconds, and the box's speed drifts more between them than the
+      // tracing costs.
+      const auto map_spans = tracer.layers()["map"].calls;
+      const double span_ns = Tracer::span_cost_ns();
+      const double untraced = baseline.end_to_end.at("map_ms_p50");
+      const double overhead_ms =
+          phase.attempted > 0
+              ? span_ns * static_cast<double>(map_spans) /
+                    static_cast<double>(phase.attempted) / 1e6
+              : 0.0;
+      phase.layers["trace.overhead_ms"] = overhead_ms;
+      phase.layers["trace.overhead_frac"] =
+          untraced > 0.0 ? overhead_ms / untraced : 0.0;
+      trace_detail = {span_ns, phase.end_to_end.at("map_ms_p50") - untraced};
       {
         Tracer::Scope replays(tracer, "replays");
         perfbench::replay_layers(phase.distinct, tracer, replays.id(),
                                  phase.layers);
       }
-      const double traced = phase.end_to_end.at("map_ms_p50");
-      const double untraced = baseline.end_to_end.at("map_ms_p50");
-      phase.layers["trace.overhead_ms"] = traced - untraced;
-      phase.layers["trace.overhead_frac"] =
-          untraced > 0.0 ? (traced - untraced) / untraced : 0.0;
       trace_path = (std::filesystem::path(settings.out_dir) /
                     ("trace-" + settings.workload + "-seed" +
                      std::to_string(settings.seed) + ".json"))
@@ -206,7 +242,7 @@ int main(int argc, char** argv) {
            {"cxx_flags", PERFBENCH_CXX_FLAGS},
            {"compiler", PERFBENCH_COMPILER},
            {"git_commit", commit},
-           {"source_digest", digest}});
+           {"source_digest", settings.source_digest}});
     }
 
     const long long failed = static_cast<long long>(phase.failed.size());
@@ -218,7 +254,7 @@ int main(int argc, char** argv) {
     qspr::JsonWriter detail;
     detail.begin_object();
     detail.field("perfbench", "detail");
-    write_stamp(detail, settings, commit, digest);
+    write_stamp(detail, settings, commit);
     detail.field("failed_frac", phase.attempted > 0
                                     ? static_cast<double>(failed) /
                                           static_cast<double>(phase.attempted)
@@ -229,6 +265,8 @@ int main(int argc, char** argv) {
       detail.field("trace_file", trace_path);
       detail.field("replayed_results", phase.layers["replay.results"]);
       detail.field("spans", static_cast<long long>(tracer.span_count()));
+      detail.field("span_cost_ns", trace_detail.first);
+      detail.field("phase_diff_map_ms_p50", trace_detail.second);
     }
     detail.key("workload_detail");
     detail.end_object();

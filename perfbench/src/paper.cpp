@@ -1,9 +1,16 @@
 // paper_serial / paper_parallel: the paper's six calibrated encoders mapped
 // with QSPR/MVFB at m = 100, one request at a time through
 // MappingEngine::map, in passes until the run's time is used up.
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -28,16 +35,19 @@ struct Sample {
 };
 
 /// Cross-workload half of the determinism check: the first paper workload
-/// run for a (seed, m) in this checkout records each code's result
-/// fingerprint; every later run, serial or parallel, must match it.
+/// run for a (source digest, seed, m) in this checkout records each code's
+/// result fingerprint; every later run of the same code, serial or
+/// parallel, must match it. A build of other sources gets its own record,
+/// so a change that legitimately alters a mapping is never checked against
+/// the results of the code before it.
 void check_determinism_record(const RunSettings& settings, int m,
                               const std::vector<MappedProgram>& first,
                               PhaseResult& phase) {
   if (settings.out_dir.empty()) return;
   const std::filesystem::path path =
       std::filesystem::path(settings.out_dir) /
-      ("determinism-seed" + std::to_string(settings.seed) + "-m" +
-       std::to_string(m) + ".txt");
+      ("determinism-" + settings.source_digest + "-seed" +
+       std::to_string(settings.seed) + "-m" + std::to_string(m) + ".txt");
   std::vector<std::string> current;
   for (const MappedProgram& mapped : first) {
     current.push_back(qspr::map_result_fingerprint(mapped.result));
@@ -63,7 +73,71 @@ void check_determinism_record(const RunSettings& settings, int m,
   }
 }
 
+struct SetupSample {
+  /// Spawn to the probe's "ready" line.
+  double seconds = 0.0;
+  /// The probe's own in-process build time, from its "ready" line.
+  double build_ms = 0.0;
+};
+
+/// Spawns this program in set-up probe mode and times it from the spawn to
+/// its "ready <build ms>" line. The probe's exit is waited for but not
+/// timed.
+SetupSample time_setup_probe(const std::string& self, int workers) {
+  int fds[2];
+  if (::pipe2(fds, O_CLOEXEC) != 0) throw std::runtime_error("pipe failed");
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
+  std::string path = self;
+  std::string mode = "--setup-probe";
+  std::string count = std::to_string(workers);
+  char* argv[] = {path.data(), mode.data(), count.data(), nullptr};
+  const auto start = Clock::now();
+  pid_t pid = -1;
+  const int error =
+      ::posix_spawn(&pid, path.c_str(), &actions, nullptr, argv, environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  ::close(fds[1]);
+  if (error != 0) {
+    ::close(fds[0]);
+    throw std::runtime_error("cannot spawn the set-up probe " + path);
+  }
+  std::string line;
+  char c = 0;
+  for (;;) {
+    const ssize_t n = ::read(fds[0], &c, 1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || c == '\n') break;
+    line += c;
+  }
+  SetupSample sample;
+  sample.seconds = ms_between(start, Clock::now()) / 1e3;
+  ::close(fds[0]);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  const std::string ready = "ready ";
+  if (line.rfind(ready, 0) != 0 || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    throw std::runtime_error("the set-up probe failed");
+  }
+  sample.build_ms = std::stod(line.substr(ready.size()));
+  return sample;
+}
+
 }  // namespace
+
+int setup_probe_main(int workers) {
+  if (workers < 1) return 2;
+  const auto start = Clock::now();
+  qspr::MappingEngine engine(workers);
+  const qspr::Fabric fabric = qspr::make_paper_fabric();
+  (void)engine.artifacts().get(fabric);
+  std::printf("ready %.6f\n", ms_between(start, Clock::now()));
+  std::fflush(stdout);
+  return 0;
+}
 
 PhaseResult run_paper(const RunSettings& settings, int workers,
                       Tracer& tracer, bool check) {
@@ -83,23 +157,26 @@ PhaseResult run_paper(const RunSettings& settings, int workers,
   PhaseResult phase;
   Tracer::Scope root(tracer, "workload", -1, settings.workload);
 
-  // Set-up: engine (executor threads), the paper fabric and its artifact
-  // bundle. The workload runs on the first one. More are timed after every
-  // mapping request, kept out of the workload's wall time, and setup_s is
-  // the median of all of them: a burst of set-ups in one moment of the run
-  // swung by half between runs with short bursts of load on the box.
-  constexpr int kSetupsPerRequest = 8;
+  // Set-up is timed from process start to ready, as for qspr_serve: a
+  // probe process (this program with --setup-probe) builds the engine with
+  // its executor threads, the paper fabric and its artifact bundle, then
+  // says "ready". A set-up in this process takes about half a millisecond,
+  // and the run median of such set-ups spread by 0.29 (quartile distance /
+  // median) over ten runs of paper_parallel; process starts spread no more
+  // than the mapping timings. Probes run after every mapping request, kept
+  // out of the workload's wall time, so the median samples the whole run.
+  constexpr int kSetupsPerRequest = 4;
   std::vector<double> setup_s;
-  const auto set_up = [&] {
+  std::vector<double> build_ms;
+  const auto probe_setup = [&] {
     Tracer::Scope span(tracer, "setup", root.id());
-    const auto start = Clock::now();
-    auto fresh = std::make_unique<qspr::MappingEngine>(workers);
-    qspr::Fabric fresh_fabric = qspr::make_paper_fabric();
-    (void)fresh->artifacts().get(fresh_fabric);
-    setup_s.push_back(ms_between(start, Clock::now()) / 1e3);
-    return std::make_pair(std::move(fresh), std::move(fresh_fabric));
+    const SetupSample sample = time_setup_probe(settings.self_binary, workers);
+    setup_s.push_back(sample.seconds);
+    build_ms.push_back(sample.build_ms);
   };
-  auto [engine, fabric] = set_up();
+  probe_setup();
+  qspr::MappingEngine engine(workers);
+  const qspr::Fabric fabric = qspr::make_paper_fabric();
 
   std::vector<Sample> samples;
   std::vector<MappedProgram> first;
@@ -119,7 +196,7 @@ PhaseResult run_paper(const RunSettings& settings, int workers,
         Tracer::Scope span(tracer, "map", root.id(),
                            request + "#" + std::to_string(passes));
         const auto map_start = Clock::now();
-        result = engine->map(programs[c], fabric, options);
+        result = engine.map(programs[c], fabric, options);
         sample.map_ms = ms_between(map_start, Clock::now());
       }
       sample.latency = result.latency;
@@ -134,7 +211,7 @@ PhaseResult run_paper(const RunSettings& settings, int workers,
                          options, std::move(result)});
       }
       const auto setup_start = Clock::now();
-      for (int i = 0; i < kSetupsPerRequest; ++i) (void)set_up();
+      for (int i = 0; i < kSetupsPerRequest; ++i) probe_setup();
       setup_wall_ms += ms_between(setup_start, Clock::now());
     }
     ++passes;
@@ -213,8 +290,8 @@ PhaseResult run_paper(const RunSettings& settings, int workers,
   detail.end_object();
   phase.detail = detail.str();
 
-  const qspr::FabricArtifactCache::Stats artifacts = engine->artifacts().stats();
-  const qspr::ResultCache::Stats results = engine->results().stats();
+  const qspr::FabricArtifactCache::Stats artifacts = engine.artifacts().stats();
+  const qspr::ResultCache::Stats results = engine.results().stats();
   auto& layers = phase.layers;
   layers["sim.event_sim.runs_per_cpu_s"] =
       trial_cpu_total > 0.0
@@ -222,6 +299,7 @@ PhaseResult run_paper(const RunSettings& settings, int workers,
           : 0.0;
   layers["core.mvfb.trial_cpu_ms"] = median(trial_cpu);
   layers["core.engine.setup_ms"] = median(setup_ms);
+  layers["core.engine.build_ms"] = median(build_ms);
   layers["core.engine.parallel_efficiency"] =
       map_ms_total > 0.0 ? trial_cpu_total / (map_ms_total * workers) : 0.0;
   layers["core.engine.idle_frac"] = 1.0 - map_ms_total / (wall_s * 1e3);

@@ -23,6 +23,7 @@
 #include "qecc/random_circuit.hpp"
 #include "serve_client.hpp"
 #include "service/request_codec.hpp"
+#include "service/shard_client.hpp"
 #include "workload.hpp"
 
 namespace perfbench {
@@ -63,15 +64,35 @@ struct Script {
   std::vector<ScriptedMap> maps;
 };
 
-/// The deterministic script sequence of one workload seed. The mix is
-/// fixed by position so every seed (and every run length) sees the same
-/// proportions: every third script is a session, every third session is on
-/// a paper encoder (cycling through the six codes in Table 2 order), and
-/// every fourth stateless map is an exact repeat of an earlier one. The
-/// seed chooses the circuits, edits and per-request mapper seeds. Script i
-/// depends only on the seed, i, and earlier scripts, so every run of a seed
-/// sends the same requests in the same order, whichever connection ends up
-/// sending them.
+/// The deterministic script sequence of one workload seed. The repository
+/// holds no record of real traffic, so the mix is synthetic. It is fixed by
+/// position so every seed (and every run length) sees the same
+/// proportions, and each choice has this reason:
+///  * every third script is a session (open, full map, kEdits edits, exact
+///    resubmit, close): sessions then send 5 of every 7 maps, so edits and
+///    resubmits, the only requests that reach warm starts and the forced
+///    PathFinder diagnostic, each get a median's worth of samples in one
+///    run, while stateless maps still make up 2 of 7;
+///  * every third session is on a paper encoder (Table 2 order), the rest
+///    on random circuits: the paper's circuits stay in the mix without
+///    their larger maps taking over the run's time;
+///  * every fourth stateless map is an exact repeat of an earlier one: the
+///    result cache sees hits while insertions still outnumber them, so its
+///    writes are measured beside its reads;
+///  * kEdits = 3 edits per session, so warm starts chain from a warm result
+///    and not only from the cold first map;
+///  * an edit appends 1, 2 or 4 gates: the edit distances at which the
+///    incremental_remap suite of bench_runner records warm-start wins (it
+///    records a loss at 8), and each appended gate adds at most one net;
+///  * random circuits have 6-12 qubits and 30-80 gates, near the paper
+///    encoders' 5-23 qubits and 12-67 gates but at the small end in qubits,
+///    so a map at m = 4 takes tens of milliseconds and the service layers
+///    carry a real share of the time.
+/// The measured shares are reported in the detail record. The seed chooses
+/// the circuits, edits and per-request mapper seeds. Script i depends only
+/// on the seed, i, and earlier scripts, so every run of a seed sends the
+/// same requests in the same order, whichever connection ends up sending
+/// them.
 class ScriptSource {
  public:
   explicit ScriptSource(std::uint64_t seed) : seed_(seed) {}
@@ -135,11 +156,12 @@ class ScriptSource {
     return qspr::write_qasm(qspr::make_random_circuit(options, rng));
   }
 
-  /// 1-3 gate lines over qubits q0..q{qubits-1} (both the encoders and the
-  /// random circuits name their qubits that way).
+  /// 1, 2 or 4 gate lines over qubits q0..q{qubits-1} (both the encoders
+  /// and the random circuits name their qubits that way).
   static std::string random_gates(qspr::Rng& rng, int qubits) {
     std::string lines;
-    const int gates = rng.uniform_int(1, 3);
+    constexpr int kEditGates[] = {1, 2, 4};
+    const int gates = kEditGates[rng.uniform_index(3)];
     for (int g = 0; g < gates; ++g) {
       if (!lines.empty()) lines += "\n";
       const int a = rng.uniform_int(0, qubits - 1);
@@ -199,6 +221,24 @@ qspr::JsonValue expect_ok(const std::string& reply, const char* what) {
   return value;
 }
 
+/// One round trip on the library's NDJSON client, without retries: a
+/// transport failure or a timeout fails the run.
+std::string call(qspr::ShardClient& client, const std::string& line) {
+  std::string reply;
+  if (!client.try_request(line, reply)) {
+    throw std::runtime_error("no reply from qspr_serve to " +
+                             line.substr(0, 80));
+  }
+  return reply;
+}
+
+qspr::ShardClientOptions client_options(int port) {
+  qspr::ShardClientOptions options;
+  options.port = port;
+  options.max_attempts = 1;
+  return options;
+}
+
 std::string ping_line() {
   qspr::JsonWriter json;
   json.begin_object().field("type", "ping").field("id", "ping").end_object();
@@ -215,7 +255,7 @@ struct ClientShared {
 void client_loop(int connection, int port, int m, Clock::time_point deadline,
                  ClientShared& shared, Tracer& tracer, int parent) {
   try {
-    LineClient client(port);
+    qspr::ShardClient client(client_options(port));
     int sequence = 0;
     for (;;) {
       Script script;
@@ -234,7 +274,7 @@ void client_loop(int connection, int port, int m, Clock::time_point deadline,
             .field("id", prefix + "-open")
             .field("fabric", "paper")
             .end_object();
-        session = expect_ok(client.call(open.str()), "session_open")
+        session = expect_ok(call(client, open.str()), "session_open")
                       .string_or("session", "");
       }
       std::vector<Exchange> done;
@@ -257,7 +297,7 @@ void client_loop(int connection, int port, int m, Clock::time_point deadline,
         {
           Tracer::Scope span(tracer, "map", parent, id, connection + 1);
           const auto start = Clock::now();
-          reply = client.call(request.str());
+          reply = call(client, request.str());
           exchange.client_ms = ms_between(start, Clock::now());
         }
         const qspr::JsonValue value = qspr::parse_json(reply);
@@ -280,7 +320,7 @@ void client_loop(int connection, int port, int m, Clock::time_point deadline,
             .field("id", prefix + "-close")
             .field("session", session)
             .end_object();
-        expect_ok(client.call(close.str()), "session_close");
+        expect_ok(call(client, close.str()), "session_close");
       }
       const std::lock_guard<std::mutex> lock(shared.mutex);
       shared.exchanges.insert(shared.exchanges.end(), done.begin(), done.end());
@@ -320,7 +360,8 @@ PhaseResult run_serve(const RunSettings& settings, Tracer& tracer,
     const auto start = Clock::now();
     auto fresh = std::make_unique<ServeProcess>(settings.serve_binary,
                                                 server_args, port_file);
-    LineClient(fresh->port()).call(ping_line());
+    qspr::ShardClient client(client_options(fresh->port()));
+    (void)call(client, ping_line());
     setup_s.push_back(ms_between(start, Clock::now()) / 1e3);
     return fresh;
   };
@@ -346,8 +387,9 @@ PhaseResult run_serve(const RunSettings& settings, Tracer& tracer,
 
   qspr::JsonWriter stats_request;
   stats_request.begin_object().field("type", "stats").field("id", "stats").end_object();
+  qspr::ShardClient stats_client(client_options(server->port()));
   const qspr::JsonValue stats_reply =
-      expect_ok(LineClient(server->port()).call(stats_request.str()), "stats");
+      expect_ok(call(stats_client, stats_request.str()), "stats");
   const qspr::JsonValue* stats_object = stats_reply.find("stats");
   const qspr::JsonValue& stats = stats_object != nullptr ? *stats_object : stats_reply;
   const double rss_mb = peak_rss_mb(server->pid());
@@ -416,10 +458,22 @@ PhaseResult run_serve(const RunSettings& settings, Tracer& tracer,
   detail.end_object();
   detail.field("edit_ms_p50", median(by_kind[Kind::Edit]));
   detail.field("resubmit_ms_p50", median(by_kind[Kind::Resubmit]));
+  // Measured shares of the mix: repeats among stateless maps, the rest
+  // among all map requests.
+  const auto share = [](std::size_t part, std::size_t whole) {
+    return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
+                     : 0.0;
+  };
+  std::map<Kind, std::size_t> sent;
+  for (const Exchange& exchange : exchanges) ++sent[exchange.kind];
   detail.field("repeat_share",
-               stateless + repeats > 0
-                   ? static_cast<double>(repeats) / (stateless + repeats)
-                   : 0.0);
+               share(repeats, static_cast<std::size_t>(stateless + repeats)));
+  detail.field("session_share",
+               share(sent[Kind::SessionFirst] + sent[Kind::Edit] +
+                         sent[Kind::Resubmit],
+                     exchanges.size()));
+  detail.field("edit_share", share(sent[Kind::Edit], exchanges.size()));
+  detail.field("resubmit_share", share(sent[Kind::Resubmit], exchanges.size()));
   detail.field("failed_frac", exchanges.empty()
                                   ? 0.0
                                   : static_cast<double>(phase.failed.size()) /

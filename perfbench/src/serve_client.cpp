@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/prctl.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -94,33 +93,6 @@ int ServeProcess::stop() {
   }
   pid_ = -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-LineClient::LineClient(int port) : fd_(qspr::connect_client("127.0.0.1", port)) {}
-
-std::string LineClient::call(const std::string& line) {
-  const std::string frame = line + "\n";
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_.get(), frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) throw std::runtime_error("send to qspr_serve failed");
-    sent += static_cast<std::size_t>(n);
-  }
-  for (;;) {
-    if (const std::size_t newline = buffer_.find('\n');
-        newline != std::string::npos) {
-      std::string reply = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return reply;
-    }
-    char chunk[65536];
-    const ssize_t n = ::recv(fd_.get(), chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) throw std::runtime_error("qspr_serve closed the connection");
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 }  // namespace perfbench

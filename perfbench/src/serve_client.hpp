@@ -1,13 +1,12 @@
-// Out-of-process side of the serve workload: spawning qspr_serve and
-// talking to it over its NDJSON wire protocol on loopback.
+// Out-of-process side of the serve workload: spawning qspr_serve. The
+// benchmark talks to it with the library's own blocking NDJSON client,
+// qspr::ShardClient (service/shard_client.hpp).
 #pragma once
 
 #include <sys/types.h>
 
 #include <string>
 #include <vector>
-
-#include "common/net.hpp"
 
 namespace perfbench {
 
@@ -35,22 +34,6 @@ class ServeProcess {
   pid_t pid_ = -1;
   int port_ = 0;
   std::string port_file_;
-};
-
-/// Blocking request/reply client: one request line out, one reply line in.
-/// The benchmark never pipelines, so the next line read is always the reply
-/// to the request just sent.
-class LineClient {
- public:
-  explicit LineClient(int port);
-
-  /// Sends `line` (newline appended) and returns the reply line. Throws
-  /// std::runtime_error when the connection fails or closes.
-  std::string call(const std::string& line);
-
- private:
-  qspr::FileDescriptor fd_;
-  std::string buffer_;
 };
 
 }  // namespace perfbench

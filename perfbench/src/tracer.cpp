@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/json.hpp"
@@ -28,6 +29,24 @@ Tracer::Scope::~Scope() {
   if (tracer_ == nullptr) return;
   span_.end_ns = tracer_->now_ns();
   tracer_->record(std::move(span_));
+}
+
+double Tracer::span_cost_ns() {
+  constexpr int kBatches = 7;
+  constexpr int kSpans = 20000;
+  std::vector<double> per_span;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    Tracer tracer(true);
+    const Clock::time_point start = Clock::now();
+    for (int i = 0; i < kSpans; ++i) {
+      const Scope span(tracer, "map", 0, "c0-" + std::to_string(i), 1);
+    }
+    per_span.push_back(
+        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
+        kSpans);
+  }
+  std::sort(per_span.begin(), per_span.end());
+  return per_span[kBatches / 2];
 }
 
 std::int64_t Tracer::now_ns() const {

@@ -27,6 +27,10 @@ struct RunSettings {
   bool corrupt_trace = false;
   std::string serve_binary;
   std::string out_dir;
+  /// This program's own path, spawned in set-up probe mode for setup_s.
+  std::string self_binary;
+  /// Digest of the library and benchmark sources (see run.py).
+  std::string source_digest = "unknown";
 };
 
 /// One distinct mapping the phase produced, kept (outside the timing) for
@@ -96,6 +100,12 @@ std::vector<std::string> check_mapping(const MappedProgram& mapped,
                                        const qspr::Fabric& fabric,
                                        Tracer& tracer, int parent,
                                        bool corrupt);
+
+/// Set-up probe mode (`perfbench --setup-probe <workers>`): builds a
+/// MappingEngine with `workers` workers, the paper fabric and its artifact
+/// bundle, prints "ready <build ms>" and exits. The paper workloads time it from spawn
+/// to that line. Returns the exit code.
+int setup_probe_main(int workers);
 
 PhaseResult run_paper(const RunSettings& settings, int workers,
                       Tracer& tracer, bool check);
