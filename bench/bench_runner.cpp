@@ -41,7 +41,6 @@
 #include "common/executor.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
-#include "common/thread_pool.hpp"
 #include "route/landmarks.hpp"
 #include "route/pathfinder.hpp"
 #include "service/batch_mapper.hpp"
@@ -318,6 +317,8 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.field("schema", "qspr-bench-routing/v2");
   json.field("smoke", smoke);
+  const int hardware = Executor::default_worker_count();
+  json.field("hardware_concurrency", hardware);
 
   // Gate bookkeeping: pathfinder_* samples of this run, checked against the
   // baseline JSON at the end when --smoke.
@@ -852,100 +853,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ------------------------------------------------ parallel negotiation ---
-  // Speculative intra-iteration net parallelism on the saturated_overload
-  // nets: the all-on stack at 1/2/4/8 route workers against the serial loop.
-  // The wave protocol commits speculative routes only while the live
-  // penalty landscape still matches the wave snapshot, so results are
-  // bit-identical to the serial loop at every worker count — asserted here
-  // per run ("identical"), with the commit/re-route split recorded so the
-  // acceptance rate of the speculation is visible in the trajectory.
-  {
-    const Fabric fabric = make_paper_fabric();
-    const RoutingGraph graph(fabric);
-    const int reps = smoke ? 1 : 5;
-    const std::vector<int> loads = smoke ? std::vector<int>{24}
-                                         : std::vector<int>{24, 48};
-    std::vector<int> worker_levels;
-    for (const int workers : {1, 2, 4, 8}) {
-      if (workers <= max_jobs || workers == 1) worker_levels.push_back(workers);
-    }
-
-    TextTable table({"Nets", "Route jobs", "ns/rep", "speedup", "commits",
-                     "reroutes", "identical"});
-    json.key("parallel_negotiation").begin_object();
-    json.field("fabric", "paper_45x85");
-    json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
-    json.key("runs").begin_array();
-    for (const int load : loads) {
-      const auto nets = distinct_nets(fabric, load, 11);
-      const std::string name =
-          "parallel_negotiation_" + std::to_string(load) + "nets";
-      static PathFinderScratch serial_scratch;
-      PathFinderResult serial;
-      const double serial_ns = qspr_bench::time_ns_per_rep(reps, [&] {
-        serial = route_nets_negotiated(graph, params, nets,
-                                       PathFinderOptions{}, serial_scratch);
-      });
-      for (const int workers : worker_levels) {
-        Executor executor(workers);
-        PathFinderScratchPool pool;
-        PathFinderScratch scratch;
-        PathFinderOptions options;
-        options.route_jobs = workers;
-        PathFinderResult result;
-        const double ns = qspr_bench::time_ns_per_rep(reps, [&] {
-          result = route_nets_negotiated(graph, params, nets, options,
-                                         scratch, executor, pool);
-        });
-        bool identical =
-            result.iterations_used == serial.iterations_used &&
-            result.converged == serial.converged &&
-            result.total_delay == serial.total_delay &&
-            result.total_excess == serial.total_excess &&
-            result.searches_performed == serial.searches_performed &&
-            result.paths.size() == serial.paths.size();
-        for (std::size_t i = 0; identical && i < serial.paths.size(); ++i) {
-          identical = result.paths[i].nodes == serial.paths[i].nodes;
-        }
-        if (!identical) {
-          std::cerr << name << ": route_jobs " << workers
-                    << " diverged from the serial loop — determinism "
-                       "contract broken\n";
-          return 4;
-        }
-        const double speedup = ns > 0.0 ? serial_ns / ns : 0.0;
-        table.add_row({std::to_string(load), std::to_string(workers),
-                       format_fixed(ns, 0), format_fixed(speedup, 2) + "x",
-                       std::to_string(result.speculative_commits),
-                       std::to_string(result.speculative_reroutes),
-                       identical ? "yes" : "NO"});
-        json.begin_object()
-            .field("name", name)
-            .field("nets", load)
-            .field("route_jobs", workers)
-            .field("repetitions", reps)
-            .field("ns_per_rep", ns)
-            .field("serial_ns_per_rep", serial_ns)
-            .field("speedup_vs_serial", speedup)
-            .field("speculative_commits", result.speculative_commits)
-            .field("speculative_reroutes", result.speculative_reroutes)
-            .field("iterations_used", result.iterations_used)
-            .field("converged", result.converged)
-            .field("total_excess", result.total_excess)
-            .field("identical_to_serial", identical)
-            .field("total_delay_us",
-                   static_cast<long long>(result.total_delay))
-            .end_object();
-      }
-    }
-    json.end_array().end_object();
-    std::cout << "\nparallel negotiation (speculative waves, "
-              << "bit-identity asserted per run):\n"
-              << table.to_string();
-  }
-
   // ------------------------------------------------------------ scaling ---
   // Optimized engine across growing QUALE fabrics at a fixed load.
   {
@@ -1002,8 +909,7 @@ int main(int argc, char** argv) {
                      "speedup", "identical"});
     json.key("parallel_scaling").begin_object();
     json.field("code", "[[7,1,3]]");
-    json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
+    json.field("hardware_concurrency", hardware);
     json.key("runs").begin_array();
     for (const Flow& flow : flows) {
       double serial_ms = 0.0;
@@ -1057,8 +963,7 @@ int main(int argc, char** argv) {
     }
     json.end_array().end_object();
     std::cout << "\nparallel scaling ([[7,1,3]], "
-              << ThreadPool::default_worker_count()
-              << " hardware threads):\n"
+              << hardware << " hardware threads):\n"
               << table.to_string();
   }
 
@@ -1113,8 +1018,7 @@ int main(int argc, char** argv) {
     for (const Program& program : corpus) json.value(program.name());
     json.end_array();
     json.field("sequential_wall_ms", sequential_ms);
-    json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
+    json.field("hardware_concurrency", hardware);
     json.key("runs").begin_array();
     for (const int workers : job_levels) {
       MappingEngine engine(workers);

@@ -14,7 +14,7 @@
 
 #include "circuit/dot.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
+#include "common/executor.hpp"
 #include "core/mapper.hpp"
 #include "core/qspr.hpp"
 
@@ -34,10 +34,6 @@ int usage(const char* argv0) {
       << "  --jobs <n>         worker threads for placement trials (default:\n"
       << "                     hardware concurrency; results are identical\n"
       << "                     at any value)\n"
-      << "  --route-jobs <n>   worker threads for the negotiated PathFinder\n"
-      << "                     batches of --report (speculative net\n"
-      << "                     parallelism; default 1, results identical at\n"
-      << "                     any value)\n"
       << "  --landmarks <n>    ALT landmarks for the negotiated PathFinder\n"
       << "                     batches of --report (default 8; 0 = grid\n"
       << "                     bound only; results identical at any value)\n"
@@ -71,7 +67,8 @@ int main(int argc, char** argv) {
   try {
     std::optional<Program> program;
     MapperOptions options;
-    options.jobs = ThreadPool::default_worker_count();
+    const int hardware = Executor::default_worker_count();
+    options.jobs = hardware;
     std::optional<Fabric> fabric;
     bool dump_trace = false;
     bool dump_dot = false;
@@ -110,10 +107,6 @@ int main(int argc, char** argv) {
         const int jobs = static_cast<int>(parse_integer(next()));
         if (jobs < 1) throw Error("--jobs must be at least 1");
         options.jobs = jobs;
-      } else if (arg == "--route-jobs") {
-        const int route_jobs = static_cast<int>(parse_integer(next()));
-        if (route_jobs < 1) throw Error("--route-jobs must be at least 1");
-        options.route_jobs = route_jobs;
       } else if (arg == "--landmarks") {
         const int landmarks = static_cast<int>(parse_integer(next()));
         if (landmarks < 0) throw Error("--landmarks must be >= 0");
@@ -172,7 +165,8 @@ int main(int argc, char** argv) {
               << result.stats.turns << "\n"
               << "placement runs:   " << result.placement_runs << "\n"
               << "cpu time:         " << format_fixed(result.cpu_ms, 1)
-              << " ms wall (" << result.jobs << " jobs, "
+              << " ms wall (" << result.jobs << " jobs on " << hardware
+              << " hardware threads, "
               << format_fixed(result.trial_cpu_ms, 1)
               << " ms aggregate trial cpu)\n";
     if (dump_report) {

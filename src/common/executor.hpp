@@ -10,23 +10,20 @@
 // and runs every job strictly in index order — the serial reference the
 // parallel runs are tested bit-identical against).
 //
-// Determinism is the caller's contract, exactly as it was for the original
-// ThreadPool: a body's outputs must depend only on its index, never on which
-// worker ran it or in what order. Failures are captured *per job*: a body
-// that throws abandons only its own job's unclaimed indices, and wait()
-// rethrows the exception thrown by the lowest index of that job — other
-// in-flight jobs are unaffected (the fault-isolation hinge of the batch
-// mapping service).
+// Determinism is the caller's contract: a body's outputs must depend only on
+// its index, never on which worker ran it or in what order. Failures are
+// captured *per job*: a body that throws abandons only its own job's
+// unclaimed indices, and wait() rethrows the exception thrown by the lowest
+// index of that job — other in-flight jobs are unaffected (the
+// fault-isolation hinge of the batch mapping service).
 //
-// Nested jobs: a body may submit() further jobs to its own executor and
-// wait() on them. The nested wait never parks the worker while claimable
-// work exists anywhere — it drains the waited job's own indices first, then
-// helps other in-flight jobs under its own worker id — so trial-parallel
-// loops and net-parallel sub-jobs compose on one pool without deadlock or
-// idle capacity. Worker-id confinement stays sound: a pool thread always
-// acts under its own id, an external caller acts as worker 0 of the jobs it
-// waits on, and at most one thread may wait on a given job, so no two
-// threads ever run bodies of the same job under the same worker id.
+// A body may submit() further jobs to its own executor (the engine's setup
+// job submits the placement trials this way) but must never wait() on it:
+// waits come only from threads outside the executor's bodies, which keeps
+// worker ids confined (a pool thread runs one body at a time under its own
+// id; a waiter acts as worker 0 of the one job it waits on) and rules out a
+// pool thread blocking on work queued behind itself. A wait() from inside a
+// body of the same executor throws instead of deadlocking.
 //
 // Contracts: every submitted job must be waited before the executor is
 // destroyed; at most one thread waits on a given job.
@@ -41,9 +38,8 @@ namespace qspr {
 class Executor {
  public:
   /// body(index, worker): `worker` is a stable id in [0, worker_count()) for
-  /// indexing per-worker scratch. Ids >= 1 are the pool threads (which keep
-  /// their id when helping any job, including sub-jobs they wait on from
-  /// inside a body); worker 0 is the external thread waiting on the job.
+  /// indexing per-worker scratch. Ids >= 1 are the pool threads; worker 0 is
+  /// the external thread waiting on the job.
   using Body = std::function<void(std::size_t index, int worker)>;
 
   /// Handle to one submitted job. Copyable (all copies refer to the same
@@ -86,16 +82,11 @@ class Executor {
   [[nodiscard]] Job submit(std::size_t count, Body body);
 
   /// Blocks until `job` finishes, running its remaining indices on the
-  /// calling thread (as worker 0 from an external thread, under its own id
-  /// from a pool thread in a nested wait — which also helps drain other
-  /// in-flight jobs instead of parking). Rethrows the exception captured
-  /// for the job's lowest failing index, if any (idempotent: waiting again
-  /// on a finished failed job rethrows again).
+  /// calling thread as worker 0. Rethrows the exception captured for the
+  /// job's lowest failing index, if any (idempotent: waiting again on a
+  /// finished failed job rethrows again). Throws Error when called from
+  /// inside a body of this executor.
   void wait(const Job& job);
-
-  /// submit + wait, with a serial fast path (workers == 1 or count <= 1)
-  /// that runs inline without registering a job.
-  void run(std::size_t count, const Body& body);
 
  private:
   void worker_loop(int worker);

@@ -51,13 +51,12 @@ std::vector<NetRequest> relocation_nets(const Trace& trace,
 
 NegotiationDiagnostics diagnose_negotiation(
     const FabricArtifacts& artifacts, const TechnologyParams& tech,
-    const Trace& trace, Executor& executor, const MapperOptions& mapper,
+    const Trace& trace, const MapperOptions& mapper,
     const CachedMapResult* warm, std::vector<NetRequest>* nets_out,
     std::vector<RoutedPath>* paths_out,
     std::vector<double>* history_out = nullptr,
     double* present_factor_out = nullptr) {
   NegotiationDiagnostics diagnostics;
-  diagnostics.route_jobs = mapper.route_jobs;
   const RoutingGraph& routing_graph = artifacts.graph;
   std::vector<NetRequest> nets = relocation_nets(trace, routing_graph.fabric());
   diagnostics.nets = static_cast<int>(nets.size());
@@ -68,11 +67,7 @@ NegotiationDiagnostics diagnose_negotiation(
     if (paths_out != nullptr) paths_out->clear();
     return diagnostics;
   }
-  // Net-parallel negotiation on the engine's shared executor; bit-identical
-  // to the serial loop at any route_jobs / worker count, so the diagnostic
-  // never depends on how it was parallelised.
   PathFinderOptions options;
-  options.route_jobs = mapper.route_jobs;
   options.alt_landmarks = mapper.route_landmarks;
   options.heuristic_weight = mapper.route_heuristic_weight;
   // Landmark tables come from the per-fabric cache, so a batch of programs
@@ -100,9 +95,8 @@ NegotiationDiagnostics diagnose_negotiation(
     options.warm = &seed;
   }
   PathFinderScratch scratch;
-  PathFinderScratchPool pool;
-  PathFinderResult negotiated = route_nets_negotiated(
-      routing_graph, tech, nets, options, scratch, executor, pool);
+  PathFinderResult negotiated =
+      route_nets_negotiated(routing_graph, tech, nets, options, scratch);
   diagnostics.iterations_used = negotiated.iterations_used;
   diagnostics.converged = negotiated.converged;
   diagnostics.overused_resources = negotiated.overused_resources;
@@ -111,8 +105,6 @@ NegotiationDiagnostics diagnose_negotiation(
   diagnostics.min_feasible_excess = negotiated.min_feasible_excess;
   diagnostics.searches_performed = negotiated.searches_performed;
   diagnostics.total_delay = negotiated.total_delay;
-  diagnostics.speculative_commits = negotiated.speculative_commits;
-  diagnostics.speculative_reroutes = negotiated.speculative_reroutes;
   diagnostics.landmarks_used = negotiated.landmarks_used;
   diagnostics.heuristic_weight = negotiated.heuristic_weight;
   diagnostics.alt_refreshes = negotiated.alt_refreshes;
@@ -223,8 +215,6 @@ void MappingEngine::set_cache_budget_bytes(std::size_t budget) {
 MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   require(job.program != nullptr && job.fabric != nullptr,
           "MapJob needs a program and a fabric");
-  require(job.options.route_jobs >= 1,
-          "MapJob needs at least one route worker (route_jobs >= 1)");
   require(job.options.route_landmarks >= 0,
           "MapJob route_landmarks must be >= 0 (0 disables ALT)");
   require(job.options.route_heuristic_weight >= 1.0,
@@ -395,9 +385,8 @@ MapResult MappingEngine::finish(PendingMap pending) {
     std::vector<double> history;
     double present_factor = 0.0;
     result.negotiation = diagnose_negotiation(
-        *state.artifacts, state.exec.tech, result.trace, executor_,
-        state.job.options, state.job.warm.get(), &nets, &paths, &history,
-        &present_factor);
+        *state.artifacts, state.exec.tech, result.trace, state.job.options,
+        state.job.warm.get(), &nets, &paths, &history, &present_factor);
     result.warm_hits = result.negotiation->warm_kept;
     result.nets_rerouted =
         result.negotiation->nets - result.negotiation->warm_kept;

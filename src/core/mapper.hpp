@@ -44,12 +44,6 @@ struct MapperOptions {
   /// placements) concurrently. Mapping results are bit-identical at any
   /// value; must be >= 1.
   int jobs = 1;
-  /// Worker budget for the negotiated PathFinder's speculative
-  /// intra-iteration net parallelism (the wave protocol of
-  /// route/pathfinder.hpp), used wherever the flow batch-routes nets — the
-  /// negotiation diagnostic above all. Results are bit-identical at any
-  /// value; must be >= 1 (1 = serial negotiation loop).
-  int route_jobs = 1;
   /// ALT landmark count for the negotiated PathFinder batches (the
   /// negotiation diagnostic and the batch service). Tables are built once
   /// per distinct fabric via FabricArtifacts::landmark_tables and shared
@@ -95,12 +89,6 @@ struct NegotiationDiagnostics {
   /// Total physical delay of the negotiated batch (not part of the mapped
   /// latency; a whole-layer routing figure of merit).
   Duration total_delay = 0;
-  /// Wave-speculation observability (MapperOptions::route_jobs): these
-  /// describe *how* the identical result was computed, and are the only
-  /// fields that may differ across route_jobs values.
-  int route_jobs = 1;
-  long long speculative_commits = 0;
-  long long speculative_reroutes = 0;
   /// ALT/quality observability (MapperOptions::route_landmarks and
   /// ::route_heuristic_weight): landmark count the searches ran with, the
   /// suboptimality weight, mid-negotiation potential-table refreshes, and
@@ -112,7 +100,7 @@ struct NegotiationDiagnostics {
   /// Warm-start observability (engine incremental remapping): nets that
   /// entered the negotiation pre-routed from a prior result, and how many
   /// of those survived to convergence untouched. 0/0 on cold runs; part of
-  /// the bit-identity contract (identical at any route_jobs/frontier kind).
+  /// the bit-identity contract (identical at any frontier kind).
   int warm_seeded = 0;
   int warm_kept = 0;
 };

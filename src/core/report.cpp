@@ -57,13 +57,6 @@ std::string make_report(const MapResult& result, const Program& program,
       os << ", " << n.alt_refreshes << " potential refresh"
          << (n.alt_refreshes == 1 ? "" : "es");
     }
-    if (n.route_jobs >= 2) {
-      // How the identical result was computed: committed speculations vs
-      // commit-time re-routes of the wave protocol.
-      os << " (" << n.route_jobs << " route workers: "
-         << n.speculative_commits << " speculative commits, "
-         << n.speculative_reroutes << " re-routes)";
-    }
     os << "\n";
   }
 

@@ -7,8 +7,8 @@
 // where the program is: two textual orderings of the same interaction
 // structure hash identically), the fabric-layout fingerprint, and a
 // fingerprint of the *contractual* mapper options — the knobs that change
-// the mapped result, deliberately excluding jobs/route_jobs, which are
-// bit-identity-neutral by the PR-2 determinism contract.
+// the mapped result, deliberately excluding jobs, which is
+// bit-identity-neutral by the determinism contract.
 //
 // Each entry carries the MapResult plus the negotiated net list and routed
 // paths of its diagnostic batch, so an edited successor circuit can seed
@@ -40,8 +40,8 @@ namespace qspr {
 /// Fingerprint of the MapperOptions fields that are contractual for the
 /// mapped result: kind, technology parameters, priorities, placer and trial
 /// budgets, rng_seed, route_landmarks, route_heuristic_weight,
-/// negotiation_report, and the ablation overrides. jobs/route_jobs are
-/// excluded — results are bit-identical at any value.
+/// negotiation_report, and the ablation overrides. jobs is excluded —
+/// results are bit-identical at any value.
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 

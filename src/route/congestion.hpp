@@ -5,7 +5,6 @@
 // fully congested channel's edges weigh infinity until somebody leaves.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -108,18 +107,6 @@ class CongestionLedger {
     return present * (1.0 + history_[index]);
   }
 
-  /// entering_penalty() as it would read after one release() of the
-  /// resource. The speculative wave workers of the parallel PathFinder use
-  /// this to price their own net's rip-up against an immutable snapshot
-  /// ledger, reproducing exactly the value the serial loop's release +
-  /// refresh sequence computes.
-  [[nodiscard]] double entering_penalty_after_release(std::size_t index) const {
-    const int over = occupancy_[index] - capacity(index);
-    const double present =
-        over > 0 ? 1.0 + static_cast<double>(over) * present_factor_ : 1.0;
-    return present * (1.0 + history_[index]);
-  }
-
   /// Present-congestion factor fixed by the last begin_iteration().
   [[nodiscard]] double present_factor() const { return present_factor_; }
 
@@ -163,43 +150,7 @@ class CongestionLedger {
   /// set, not the whole table.
   OveruseSummary charge_history(double history_increment);
 
-  // --- speculation divergence tracking (wave protocol of the parallel
-  // --- PathFinder) ---
-  //
-  // begin_speculation() pins the *current* occupancy table as the wave
-  // snapshot base; every acquire()/release() afterwards maintains, in O(1),
-  // the set of resources whose entering penalty now *differs* from the
-  // snapshot's. Within one iteration history and the present factor are
-  // fixed, so two occupancies price identically iff they are equal or both
-  // strictly below capacity — divergence is therefore exactly
-  //     occupancy != snapshot && max(occupancy, snapshot) >= capacity,
-  // an integer test, never a floating-point comparison. diverged_count()==0
-  // means the whole penalty landscape is byte-identical to the snapshot the
-  // wave workers searched against: a speculative path can be committed as
-  // the path the serial loop would have produced. The set is self-healing
-  // (a rip-up that restores the snapshot occupancy removes the divergence),
-  // so later nets in a wave can re-qualify after an earlier conflict.
-
-  /// Starts tracking divergence against the current state. O(resources).
-  void begin_speculation();
-  /// Stops tracking (acquire/release return to their serial cost).
-  void end_speculation();
-  [[nodiscard]] bool speculating() const { return speculating_; }
-  /// Resources whose entering penalty differs from the speculation base.
-  [[nodiscard]] int diverged_count() const { return diverged_count_; }
-  /// Per-resource divergence query (the wave conflict test; only meaningful
-  /// while speculating).
-  [[nodiscard]] bool diverged(std::size_t index) const {
-    if (!speculating_) return false;
-    const int base = speculation_base_[index];
-    const int occupancy = occupancy_[index];
-    return occupancy != base && std::max(occupancy, base) >= capacity(index);
-  }
-
  private:
-  void update_divergence(std::size_t index, int old_occupancy,
-                         int new_occupancy);
-
   std::vector<int> occupancy_;
   std::vector<double> history_;
   double max_history_ = 0.0;
@@ -207,10 +158,6 @@ class CongestionLedger {
   std::vector<std::int32_t> overused_pos_;
   std::vector<std::uint32_t> overused_;
   std::vector<std::uint8_t> structural_;  // sized lazily by mark_structural
-  /// Occupancy table pinned by begin_speculation (the wave snapshot base).
-  std::vector<int> speculation_base_;
-  int diverged_count_ = 0;
-  bool speculating_ = false;
   std::size_t segment_count_;
   int segment_capacity_;
   int junction_capacity_;

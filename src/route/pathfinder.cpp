@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/executor.hpp"
 #include "route/heuristic.hpp"
 #include "route/search_arena.hpp"
 
@@ -77,12 +76,6 @@ void NodeWeightCache::refresh_all(const CongestionLedger& ledger,
 void NodeWeightCache::refresh_resource(const CongestionLedger& ledger,
                                        std::size_t index) {
   const double weight = t_move_ * ledger.entering_penalty(index);
-  for (const std::uint32_t n : resource_nodes[index]) {
-    node_weight[n] = weight;
-  }
-}
-
-void NodeWeightCache::apply_weight(std::size_t index, double weight) {
   for (const std::uint32_t n : resource_nodes[index]) {
     node_weight[n] = weight;
   }
@@ -509,33 +502,19 @@ int structural_excess_floor(const RoutingGraph& graph,
   return std::max(max_single, disjoint_sum);
 }
 
-/// One wave worker's output for one net: the path it found against the wave
-/// snapshot (and its dense resource set), or routed == false when the
-/// snapshot state admits no route at all.
-struct SpeculativeNet {
-  bool routed = false;
-  RoutedPath path;
-  std::vector<std::uint32_t> resources;
-  /// Nodes the speculative search settled; added to the result only when
-  /// the path commits (the committed search *is* the serial search, so the
-  /// aggregate stays bit-identical at any route_jobs).
-  long long settled = 0;
-};
+}  // namespace
 
-PathFinderResult route_nets_negotiated_impl(
-    const RoutingGraph& graph, const TechnologyParams& params,
-    const std::vector<NetRequest>& nets, const PathFinderOptions& options,
-    PathFinderScratch& scratch, Executor* executor,
-    PathFinderScratchPool* pool) {
+PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
+                                       const TechnologyParams& params,
+                                       const std::vector<NetRequest>& nets,
+                                       const PathFinderOptions& options,
+                                       PathFinderScratch& scratch) {
   params.validate();
   require(options.max_iterations >= 1, "need at least one iteration");
   require(options.bidirectional_min_cells >= 0,
           "bidirectional_min_cells must be non-negative");
   require(options.present_factor_max > 0.0,
           "present_factor_max must be positive");
-  require(options.route_jobs >= 1, "route_jobs must be at least 1");
-  require(options.route_wave_size >= 0,
-          "route_wave_size must be non-negative");
   require(options.alt_landmarks >= 0, "alt_landmarks must be non-negative");
   require(options.alt_refresh_threshold > 1.0,
           "alt_refresh_threshold must be > 1");
@@ -661,38 +640,6 @@ PathFinderResult route_nets_negotiated_impl(
     }
     result.landmarks_used = alt_base->k();
   }
-  // Freshest valid tables. Reads only state mutated at the serial iteration
-  // start, so the wave workers may call it concurrently.
-  const auto select_alt = [&]() -> const LandmarkTables* {
-    if (!use_alt) return nullptr;
-    return alt_refreshed_active ? &scratch.alt_refreshed : alt_base;
-  };
-
-  // --- speculative wave state (route_jobs >= 2 on an executor) ------------
-  // Speculation is an optimized-engine mechanism: the reference engine
-  // always runs the serial loop. A 1-worker executor cannot overlap
-  // anything, so it runs the serial loop too instead of paying for
-  // speculations it would mostly re-route; likewise a 1-net worklist is
-  // routed serially — the first net of a wave always commits, so there is
-  // nothing to overlap. None of these gates is observable in the result.
-  const bool speculative =
-      executor != nullptr && pool != nullptr && optimized &&
-      options.route_jobs >= 2 && executor->worker_count() >= 2;
-  const int wave_workers = speculative ? executor->worker_count() : 0;
-  if (speculative) pool->grow_to(static_cast<std::size_t>(wave_workers));
-  // Immutable per-wave copy of the ledger the workers search against;
-  // copy-assigned per wave so its buffers are reused.
-  std::optional<CongestionLedger> snapshot;
-  if (speculative) snapshot.emplace(ledger);
-  std::vector<SpeculativeNet> speculated;   // per wave slot, reused
-  std::vector<std::size_t> worklist;        // dirty net ids, in net order
-  std::vector<std::uint8_t> pool_built;     // per-negotiation weights.build
-  std::vector<std::uint8_t> wave_refreshed; // per-wave weights.refresh_all
-  if (speculative) {
-    pool_built.assign(static_cast<std::size_t>(wave_workers), 0);
-    wave_refreshed.assign(static_cast<std::size_t>(wave_workers), 0);
-  }
-
   double present_factor = options.present_factor;
   if (warm != nullptr) {
     // Start the schedule where the prior run left off: re-annealing from
@@ -726,13 +673,12 @@ PathFinderResult route_nets_negotiated_impl(
       weights.refresh_all(ledger, base_costs.t_move);
     }
     if (use_alt && options.adaptive_bound) {
-      // ALT refresh trigger, evaluated only here — at the serial start of
-      // the iteration, where no wave is in flight (the tables are immutable
-      // while workers search). The trigger keys on the *history* penalty
-      // component: entering_penalty = present * (1 + history) with
-      // present >= 1, and history only grows within a run, so per-node
-      // prices t_move * (1 + history(v)) baked into the rebuilt tables stay
-      // an edge-for-edge lower bound on every later search weight. This is
+      // ALT refresh trigger, evaluated once at the start of the iteration.
+      // The trigger keys on the *history* penalty component:
+      // entering_penalty = present * (1 + history) with present >= 1, and
+      // history only grows within a run, so per-node prices
+      // t_move * (1 + history(v)) baked into the rebuilt tables stay an
+      // edge-for-edge lower bound on every later search weight. This is
       // the congestion-aware bound for the saturated regime — there the
       // localised penalties never move the global floor, but the charged
       // history mass keeps climbing.
@@ -758,22 +704,26 @@ PathFinderResult route_nets_negotiated_impl(
     // Incremental rip-up: each dirty net is removed from the occupancy,
     // re-routed against the *other* nets' present congestion plus the
     // history costs, and re-inserted. With partial_ripup off every net is
-    // dirty every iteration (the original full-sweep PathFinder loop).
-    const auto rip_net = [&](std::size_t i) {
+    // dirty every iteration (the original full-sweep PathFinder loop). The
+    // rip is unconditional: at a cold iteration 1 every occupancy set is
+    // empty (a no-op), and a warm-seeded net that re-entered the worklist
+    // must release its seed.
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      if (!dirty[i]) continue;
       for (const std::uint32_t index : net_resources[i]) {
         ledger.release(index);
         if (optimized) weights.refresh_resource(ledger, index);
       }
-    };
-    // Search against the *live* ledger and record the result — the serial
-    // reference step, also the commit-time fallback of an invalidated
-    // speculation. The caller has already ripped net i.
-    const auto route_net_live = [&](std::size_t i) {
+      ++result.searches_performed;
+      if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
+
       bool routed = false;
       if (optimized) {
         SearchCosts costs = base_costs;
         if (options.adaptive_bound) costs.floor = ledger.penalty_floor();
-        costs.alt = select_alt();
+        if (use_alt) {
+          costs.alt = alt_refreshed_active ? &scratch.alt_refreshed : alt_base;
+        }
         const bool long_query =
             options.bidirectional &&
             manhattan_cells(graph, nets[i].from, nets[i].to) >=
@@ -801,144 +751,10 @@ PathFinderResult route_nets_negotiated_impl(
       result.paths[i] = lower_path(graph, node_buffer, params);
       collect_resources(result.paths[i], ledger, membership,
                         net_resources[i]);
-    };
-    const auto acquire_net = [&](std::size_t i) {
+
       for (const std::uint32_t index : net_resources[i]) {
         ledger.acquire(index);
         if (optimized) weights.refresh_resource(ledger, index);
-      }
-    };
-
-    worklist.clear();
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      if (dirty[i]) worklist.push_back(i);
-    }
-
-    if (!speculative || worklist.size() < 2) {
-      // The serial negotiation step. The rip is unconditional: at a cold
-      // iteration 1 every occupancy set is empty (a no-op), and a warm-
-      // seeded net that re-entered the worklist must release its seed.
-      for (const std::size_t i : worklist) {
-        rip_net(i);
-        ++result.searches_performed;
-        if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
-        route_net_live(i);
-        acquire_net(i);
-      }
-    } else {
-      // Speculative waves: route each wave's nets concurrently against an
-      // immutable snapshot of the ledger, then commit serially in net
-      // order. A speculative path is committed only while the live penalty
-      // landscape is still byte-identical to the snapshot (no diverged
-      // resource, same admissible floor) — then the snapshot search *is*
-      // the serial search, input for input — otherwise the net re-routes on
-      // this thread against the true state, exactly as the serial loop
-      // would. Either way the committed sequence of releases, searches and
-      // acquires equals the serial loop's, so results are bit-identical at
-      // any route_jobs / worker count.
-      const auto waves = plan_speculation_waves(
-          worklist.size(), options.route_jobs, options.route_wave_size);
-      for (const auto& [wave_begin, wave_end] : waves) {
-        const std::size_t wave_len = wave_end - wave_begin;
-        *snapshot = ledger;
-        const double wave_floor = snapshot->penalty_floor();
-        ledger.begin_speculation();
-        if (speculated.size() < wave_len) speculated.resize(wave_len);
-        std::fill(wave_refreshed.begin(), wave_refreshed.end(),
-                  std::uint8_t{0});
-
-        const Executor::Job wave_job = executor->submit(
-            wave_len, [&](std::size_t k, int worker) {
-              PathFinderScratch& ws =
-                  pool->for_worker(static_cast<std::size_t>(worker));
-              if (!pool_built[worker]) {
-                ws.weights.build(graph, *snapshot);
-                pool_built[worker] = 1;
-              }
-              if (!wave_refreshed[worker]) {
-                ws.weights.refresh_all(*snapshot, base_costs.t_move);
-                wave_refreshed[worker] = 1;
-              }
-              const std::size_t i = worklist[wave_begin + k];
-              SpeculativeNet& out = speculated[k];
-              out.routed = false;
-              out.resources.clear();
-              out.settled = 0;
-              SearchCosts costs = base_costs;
-              // The worker's own rip-up, priced against the snapshot: the
-              // serial loop releases net i's old resources before its
-              // search, repricing them and min-updating the floor.
-              double floor = snapshot->penalty_floor();
-              for (const std::uint32_t index : net_resources[i]) {
-                const double penalty =
-                    snapshot->entering_penalty_after_release(index);
-                floor = std::min(floor, penalty);
-                ws.weights.apply_weight(index,
-                                        base_costs.t_move * penalty);
-              }
-              if (options.adaptive_bound) costs.floor = floor;
-              // Same selection rule the serial loop applies post-rip: on a
-              // clean commit the worker's floor equals the serial loop's,
-              // so the same tables are chosen and the search is identical.
-              costs.alt = select_alt();
-              const bool long_query =
-                  options.bidirectional &&
-                  manhattan_cells(graph, nets[i].from, nets[i].to) >=
-                      options.bidirectional_min_cells;
-              const bool routed =
-                  long_query
-                      ? route_one_bidirectional(graph, ws.weights, costs,
-                                                nets[i].from, nets[i].to,
-                                                ws.arena, ws.node_buffer,
-                                                out.settled)
-                      : route_one_astar(graph, ws.weights, costs,
-                                        nets[i].from, nets[i].to, ws.arena,
-                                        ws.node_buffer, out.settled);
-              if (routed) {
-                out.path = lower_path(graph, ws.node_buffer, params);
-                collect_resources(out.path, *snapshot, ws.membership,
-                                  out.resources);
-                out.routed = true;
-              }
-              // Restore the snapshot weights for this worker's next net.
-              for (const std::uint32_t index : net_resources[i]) {
-                ws.weights.apply_weight(
-                    index,
-                    base_costs.t_move * snapshot->entering_penalty(index));
-              }
-            });
-        executor->wait(wave_job);
-
-        // Serial commit in net order.
-        for (std::size_t k = 0; k < wave_len; ++k) {
-          const std::size_t i = worklist[wave_begin + k];
-          // Decided before net i's own rip-up: the rip applies identically
-          // to the snapshot view the worker searched (it priced it in) and
-          // to the live ledger, so pre-rip equality implies post-rip
-          // equality of every search input, floor included.
-          const bool clean = ledger.diverged_count() == 0 &&
-                             ledger.penalty_floor() == wave_floor;
-          rip_net(i);
-          ++result.searches_performed;
-          if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
-          SpeculativeNet& spec = speculated[k];
-          if (clean) {
-            if (!spec.routed) {
-              // Identical inputs: the serial search would fail too.
-              throw RoutingError("PathFinder: net " + std::to_string(i) +
-                                 " has no route on this fabric");
-            }
-            result.paths[i] = std::move(spec.path);
-            net_resources[i] = std::move(spec.resources);
-            result.nodes_settled += spec.settled;
-            ++result.speculative_commits;
-          } else {
-            route_net_live(i);
-            ++result.speculative_reroutes;
-          }
-          acquire_net(i);
-        }
-        ledger.end_speculation();
       }
     }
 
@@ -1061,14 +877,12 @@ PathFinderResult route_nets_negotiated_impl(
     // the abandoned attempt's cost in the counters instead of hiding it.
     PathFinderOptions cold_options = options;
     cold_options.warm = nullptr;
-    PathFinderResult cold = route_nets_negotiated_impl(
-        graph, params, nets, cold_options, scratch, executor, pool);
+    PathFinderResult cold =
+        route_nets_negotiated(graph, params, nets, cold_options, scratch);
     cold.searches_performed += result.searches_performed;
     cold.nodes_settled += result.nodes_settled;
     cold.iterations_used += result.iterations_used;
     cold.alt_refreshes += result.alt_refreshes;
-    cold.speculative_commits += result.speculative_commits;
-    cold.speculative_reroutes += result.speculative_reroutes;
     cold.warm_seeded = result.warm_seeded;
     cold.warm_kept = 0;
     cold.warm_restarted = true;
@@ -1091,8 +905,6 @@ PathFinderResult route_nets_negotiated_impl(
   result.final_present_factor = present_factor;
   return result;
 }
-
-}  // namespace
 
 WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
                              const std::vector<RoutedPath>& prior_paths,
@@ -1119,50 +931,12 @@ WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
   return seed;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> plan_speculation_waves(
-    std::size_t worklist_size, int route_jobs, int wave_size) {
-  std::vector<std::pair<std::size_t, std::size_t>> waves;
-  if (worklist_size == 0) return waves;
-  const auto jobs = static_cast<std::size_t>(std::max(1, route_jobs));
-  // Auto sizing: enough nets per snapshot to keep every worker busy a few
-  // times over, small enough that the snapshot refreshes before commits
-  // drift far from it.
-  std::size_t size =
-      wave_size > 0 ? static_cast<std::size_t>(wave_size) : 4 * jobs;
-  size = std::max<std::size_t>(size, 2);
-  for (std::size_t begin = 0; begin < worklist_size; begin += size) {
-    waves.emplace_back(begin, std::min(worklist_size, begin + size));
-  }
-  return waves;
-}
-
 PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const TechnologyParams& params,
                                        const std::vector<NetRequest>& nets,
                                        const PathFinderOptions& options) {
   PathFinderScratch scratch;
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    nullptr, nullptr);
-}
-
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch) {
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    nullptr, nullptr);
-}
-
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch,
-                                       Executor& executor,
-                                       PathFinderScratchPool& pool) {
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    &executor, &pool);
+  return route_nets_negotiated(graph, params, nets, options, scratch);
 }
 
 }  // namespace qspr

@@ -16,28 +16,18 @@
 // bidirectional meet-in-the-middle search over the arena's second frontier.
 // Each mechanism toggles independently via PathFinderOptions.
 //
-// With route_jobs >= 2 and an Executor, the nets *within* one iteration
-// route concurrently: the dirty worklist is partitioned into waves, each
-// wave's nets are searched speculatively against an immutable snapshot of
-// the congestion ledger (per-worker scratch from a WorkerScratchPool), and
-// results commit serially in net order. A speculative path is committed
-// only while the live ledger's penalty landscape is still byte-identical to
-// the wave snapshot (tracked by the ledger's divergence delta set plus a
-// penalty-floor equality check); otherwise the net is re-routed on the
-// committing thread against the true state — exactly what the serial loop
-// does. Commit order equals net order and every commit/re-route decision
-// depends only on committed state, so the negotiation is bit-identical to
-// the serial loop (paths, delays, diagnostics) at any route_jobs and any
-// executor worker count, by construction. Speculation applies to the
-// AStarArena engine; ReferenceDijkstra always runs the serial loop.
+// The loop is serial: within an iteration the dirty nets are ripped up,
+// re-routed and re-inserted one at a time in net order, so a run is a pure
+// function of its inputs. A run is single-threaded; callers parallelise
+// across independent negotiations (one PathFinderScratch per thread).
 //
 // The event-driven simulator routes incrementally instead (one instruction
-// at a time, Eq. 2 weights); this module provides the classic batch
-// formulation for comparison and for users who want whole-layer routing.
+// at a time, Eq. 2 weights, as QSPR does); this module provides the classic
+// batch formulation QUALE used, run here as a post-mapping diagnostic and
+// for users who want whole-layer routing.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -47,8 +37,6 @@
 #include "route/search_arena.hpp"
 
 namespace qspr {
-
-class Executor;  // common/executor.hpp; only the parallel overload needs it
 
 struct NetRequest {
   TrapId from;
@@ -205,16 +193,8 @@ struct PathFinderOptions {
   /// loads. Applies to AStarArena; ReferenceDijkstra has no heuristic.
   double heuristic_weight = 1.0;
 
-  // --- speculative intra-iteration parallelism (executor overload only) ---
-
-  /// Worker budget for routing one iteration's dirty nets concurrently.
-  /// 1 keeps the serial loop; >= 2 enables wave speculation when the
-  /// executor overload is used (AStarArena engine only). Results are
-  /// bit-identical at any value.
+  /// Unread (the negotiation is serial); kept so callers that set it build.
   int route_jobs = 1;
-  /// Nets per speculation wave (0 = auto: 4 * route_jobs, minimum 2). Only
-  /// affects how much work is speculated per snapshot, never the result.
-  int route_wave_size = 0;
 
   // --- warm start (incremental remapping) ---
 
@@ -239,15 +219,10 @@ struct PathFinderResult {
   /// never go below it; converged implies it is 0.
   int min_feasible_excess = 0;
   /// Inner shortest-path searches actually performed; with partial rip-up
-  /// this is <= nets * iterations_used (clean nets are skipped). Counted in
-  /// serial-equivalent terms: a committed speculative route counts as the
-  /// one search the serial loop would have run (extra speculative work is
-  /// reported separately below).
+  /// this is <= nets * iterations_used (clean nets are skipped).
   long long searches_performed = 0;
-  /// Nodes settled (accepted heap pops) across all counted searches — the
-  /// heuristic-quality metric the ALT ablation records. Counted in the same
-  /// serial-equivalent terms as searches_performed, so it is bit-identical
-  /// at any route_jobs.
+  /// Nodes settled (accepted heap pops) across all searches — the
+  /// heuristic-quality metric the ALT ablation records.
   long long nodes_settled = 0;
   /// Landmarks the ALT bound actually used (0 when ALT was off).
   int landmarks_used = 0;
@@ -257,7 +232,7 @@ struct PathFinderResult {
   double heuristic_weight = 1.0;
 
   // --- warm-start observability (0 on cold runs; deterministic for a
-  // --- fixed seed, identical at any route_jobs / frontier kind) ---
+  // --- fixed seed, identical at any frontier kind) ---
 
   /// Nets that entered the negotiation pre-routed from the warm seed.
   int warm_seeded = 0;
@@ -277,21 +252,6 @@ struct PathFinderResult {
   /// Present factor of the final iteration actually run; pairs with
   /// `history` in the next WarmStartSeed.
   double final_present_factor = 0.0;
-
-  // --- wave-speculation observability (not part of the bit-identity
-  // --- contract: 0 under the serial loop, deterministic for a fixed
-  // --- route_jobs/wave size and executor width >= 2, but different across
-  // --- route_jobs values). The two counters partition the *speculated*
-  // --- searches: commits + reroutes <= searches_performed, with equality
-  // --- only when every iteration's worklist actually ran as waves
-  // --- (iterations with a single dirty net fall back to the serial step
-  // --- and count in neither bucket). ---
-
-  /// Nets whose snapshot-routed path was committed as-is.
-  long long speculative_commits = 0;
-  /// Nets whose speculation was invalidated by an earlier commit in the
-  /// same wave and were re-routed serially at commit time.
-  long long speculative_reroutes = 0;
 };
 
 /// Per-node negotiated move weights of the optimized engine, kept in sync
@@ -307,9 +267,6 @@ class NodeWeightCache {
   void build(const RoutingGraph& graph, const CongestionLedger& ledger);
   void refresh_all(const CongestionLedger& ledger, double t_move);
   void refresh_resource(const CongestionLedger& ledger, std::size_t index);
-  /// Overrides one resource's move weight directly (the wave workers price
-  /// their own net's rip-up against an immutable snapshot this way).
-  void apply_weight(std::size_t index, double weight);
 
   std::vector<std::int32_t> node_resource;  // dense ledger index or -1
   std::vector<double> node_weight;          // t_move * entering_penalty
@@ -339,23 +296,11 @@ struct PathFinderScratch {
   /// scratch may serve different graphs across calls).
   LandmarkTables alt_base;
   /// History-priced ALT rebuild of the current negotiation (refresh
-  /// trigger); reset at negotiation start, shared read-only by the wave
-  /// workers.
+  /// trigger); reset at negotiation start.
   LandmarkTables alt_refreshed;
   /// Per-node price buffer of the history-priced rebuilds.
   std::vector<double> alt_price;
 };
-
-/// Per-worker scratch of the speculative wave workers. Like a single
-/// scratch, one pool belongs to one negotiation context at a time; size it
-/// to the executor's worker_count().
-using PathFinderScratchPool = WorkerScratchPool<PathFinderScratch>;
-
-/// Contiguous [begin, end) wave chunks, in net order, over a dirty worklist
-/// of `worklist_size` nets. wave_size 0 selects the auto size
-/// (4 * route_jobs, minimum 2). Exposed for the wave-partition unit tests.
-std::vector<std::pair<std::size_t, std::size_t>> plan_speculation_waves(
-    std::size_t worklist_size, int route_jobs, int wave_size);
 
 /// Routes all nets with negotiated congestion. Nets with from == to receive
 /// empty paths. Throws RoutingError when some net has no route at all
@@ -379,18 +324,5 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const std::vector<NetRequest>& nets,
                                        const PathFinderOptions& options,
                                        PathFinderScratch& scratch);
-
-/// As above, routing each iteration's dirty nets speculatively on
-/// `executor` when options.route_jobs >= 2 (see the wave protocol in the
-/// file comment). Bit-identical to the serial overloads at any route_jobs
-/// and worker count. The pool is grown to executor.worker_count() on entry;
-/// callable from inside an executor job (waves become nested sub-jobs).
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch,
-                                       Executor& executor,
-                                       PathFinderScratchPool& pool);
 
 }  // namespace qspr

@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -511,37 +510,6 @@ class StampedSet {
  private:
   std::vector<std::uint32_t> stamp_;
   std::uint32_t generation_ = 0;
-};
-
-/// Pool of per-worker scratch objects indexed by an Executor worker id.
-/// Slots live behind stable unique_ptrs, so growing the pool never moves a
-/// scratch another worker is using, and two workers never share a cache line
-/// through adjacent slots. Confinement contract: slot `w` is only ever
-/// touched by the thread currently acting as worker `w` of one owning
-/// context — a pool must not be shared by two *concurrent* parallel calls
-/// (hold one pool per negotiation context, exactly like a single scratch).
-template <typename Scratch>
-class WorkerScratchPool {
- public:
-  WorkerScratchPool() = default;
-  explicit WorkerScratchPool(std::size_t workers) { grow_to(workers); }
-
-  /// Ensures at least `workers` slots exist; existing slots are preserved
-  /// (their warmed allocations survive across batches).
-  void grow_to(std::size_t workers) {
-    while (slots_.size() < workers) {
-      slots_.push_back(std::make_unique<Scratch>());
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-
-  [[nodiscard]] Scratch& for_worker(std::size_t worker) {
-    return *slots_[worker];
-  }
-
- private:
-  std::vector<std::unique_ptr<Scratch>> slots_;
 };
 
 }  // namespace qspr

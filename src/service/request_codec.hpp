@@ -103,7 +103,8 @@ struct ServeRequest {
   /// 0 = server default.
   double deadline_ms = 0.0;
   /// Mapping options parsed from the request (mapper/placer/m/seed/
-  /// route_jobs/report), applied over the server's defaults.
+  /// landmarks/heuristic_weight), applied over the server's defaults. Any
+  /// other field, such as the retired route_jobs or report, is ignored.
   MapperOptions options;
 };
 

@@ -1,15 +1,14 @@
 // ALT landmark heuristic layer: table determinism, edge-exhaustive
 // consistency of the combined (grid + ALT) potentials for both frontiers at
 // several penalty floors and after a floored refresh, the w = 1.0
-// bit-identity contract of the bounded-suboptimal knob, the w > 1 quality
-// bound, and bit-identity of the ALT-enabled speculative parallel loop.
+// bit-identity contract of the bounded-suboptimal knob, and the w > 1
+// quality bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "fabric/linear_fabric.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -437,53 +436,6 @@ TEST(AltWeighted, RejectsWeightBelowOne) {
   PathFinderOptions options;
   options.heuristic_weight = 0.9;
   EXPECT_THROW(route_nets_negotiated(graph, params, nets, options), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel bit-identity with ALT enabled
-// ---------------------------------------------------------------------------
-
-TEST(AltParallel, SpeculativeLoopBitIdenticalWithAltAndWeight) {
-  // The wave protocol's bit-identity contract must survive ALT potentials
-  // and the suboptimality knob: route_jobs ∈ {2, 4} equals the serial loop
-  // field for field, nodes_settled included.
-  const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  const LandmarkTables tables =
-      build_landmark_tables(graph, static_cast<double>(params.t_move),
-                            static_cast<double>(params.t_turn), 8);
-  for (const double w : {1.0, 1.5}) {
-    for (const std::uint64_t seed : {5u, 21u}) {
-      const auto nets = random_nets(fabric, 24, seed);
-      PathFinderOptions options;
-      options.alt_landmarks = 8;
-      options.landmarks = &tables;
-      options.heuristic_weight = w;
-      const PathFinderResult serial = route_nets_negotiated(graph, params,
-                                                            nets, options);
-      for (const int route_jobs : {2, 4}) {
-        Executor executor(route_jobs);
-        PathFinderScratch scratch;
-        PathFinderScratchPool pool;
-        PathFinderOptions parallel = options;
-        parallel.route_jobs = route_jobs;
-        const PathFinderResult result = route_nets_negotiated(
-            graph, params, nets, parallel, scratch, executor, pool);
-        ASSERT_EQ(result.paths.size(), serial.paths.size());
-        for (std::size_t i = 0; i < result.paths.size(); ++i) {
-          EXPECT_EQ(result.paths[i].nodes, serial.paths[i].nodes)
-              << "net " << i << " route_jobs " << route_jobs << " w " << w;
-        }
-        EXPECT_EQ(result.total_delay, serial.total_delay);
-        EXPECT_EQ(result.iterations_used, serial.iterations_used);
-        EXPECT_EQ(result.total_excess, serial.total_excess);
-        EXPECT_EQ(result.searches_performed, serial.searches_performed);
-        EXPECT_EQ(result.nodes_settled, serial.nodes_settled);
-        EXPECT_EQ(result.alt_refreshes, serial.alt_refreshes);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Differential fuzz harness over the whole mapping stack: seeded random
-// programs driven through map_program under every parallelism configuration
-// — serial, trial-parallel (jobs), net-parallel (route_jobs), both, and the
-// batch service — asserting bit-identical MapResults (latency, trace,
+// programs driven through map_program under every configuration that must
+// not change the result — trial-parallel jobs, each frontier queue kind, and
+// the batch service — asserting bit-identical MapResults (latency, trace,
 // placements) and identical negotiation diagnostics across all of them.
-// Speculative parallelism is exactly the kind of change that silently
-// breaks the determinism contract; this suite pins it stack-wide.
+// Agreement alone would let a bug shared by every configuration pass, so
+// every fuzzed mapping is also checked for physical legality with
+// validate_trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/executor.hpp"
+#include "circuit/dependency_graph.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/mapper.hpp"
@@ -21,6 +22,7 @@
 #include "route/pathfinder.hpp"
 #include "route/search_arena.hpp"
 #include "service/batch_mapper.hpp"
+#include "sim/trace_validator.hpp"
 
 namespace qspr {
 namespace {
@@ -67,6 +69,38 @@ std::size_t trace_hash(const MapResult& result) {
   return std::hash<std::string>{}(result.trace.to_string());
 }
 
+/// The mapped trace must be a physically legal execution of the program.
+void expect_legal(const FuzzCase& fuzz, const Fabric& fabric,
+                  const MapResult& result, const std::string& label) {
+  const std::vector<std::string> violations = validate_trace(
+      result.trace, DependencyGraph::build(fuzz.program), fabric,
+      result.initial_placement, execution_options_for(fuzz.options).tech);
+  EXPECT_TRUE(violations.empty())
+      << label << ": " << (violations.empty() ? "" : violations.front());
+}
+
+/// map_program plus the legality check on its trace.
+MapResult map_legal(const FuzzCase& fuzz, const Fabric& fabric,
+                    const MapperOptions& options, const std::string& label) {
+  MapResult result = map_program(fuzz.program, fabric, options);
+  expect_legal(fuzz, fabric, result, label);
+  return result;
+}
+
+/// Serial reference mapping of every case (jobs 1, default frontier kinds).
+std::vector<MapResult> map_serial(const std::vector<FuzzCase>& cases,
+                                  const std::vector<Fabric>& fabrics) {
+  std::vector<MapResult> serial;
+  serial.reserve(cases.size());
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    MapperOptions options = cases[c].options;
+    options.jobs = 1;
+    serial.push_back(map_legal(cases[c], fabrics[cases[c].fabric], options,
+                               "serial/case" + std::to_string(c)));
+  }
+  return serial;
+}
+
 void expect_identical(const MapResult& reference, const MapResult& other,
                       const std::string& label) {
   EXPECT_EQ(reference.latency, other.latency) << label;
@@ -75,8 +109,7 @@ void expect_identical(const MapResult& reference, const MapResult& other,
   EXPECT_EQ(reference.initial_placement, other.initial_placement) << label;
   EXPECT_EQ(reference.final_placement, other.final_placement) << label;
   EXPECT_EQ(trace_hash(reference), trace_hash(other)) << label;
-  // Negotiation diagnostics: every contractual field must agree; only the
-  // route_jobs / speculative_* observability fields may differ.
+  // Negotiation diagnostics: every field must agree.
   ASSERT_EQ(reference.negotiation.has_value(), other.negotiation.has_value())
       << label;
   if (reference.negotiation.has_value()) {
@@ -98,41 +131,44 @@ void expect_identical(const MapResult& reference, const MapResult& other,
   }
 }
 
-TEST(FuzzDifferential, AllParallelConfigsMatchSerialAcrossSeededPrograms) {
+TEST(FuzzDifferential, JobsAndFrontierKindsMatchSerialAcrossSeededPrograms) {
+  // Trial parallelism and the frontier queue (binary heap / bucket queue /
+  // 4-ary heap) are pure performance knobs: every jobs x frontier-kind
+  // combination must reproduce the serial default-queue result bit for bit,
+  // diagnostics included. This is the stack-level twin of
+  // tests/frontier_queue_test.cpp.
+  struct OverrideGuard {
+    ~OverrideGuard() { clear_frontier_kind_override(); }
+  } guard;
+
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
+  const std::vector<MapResult> serial = map_serial(cases, fabrics);
 
-  // Serial reference per case, then every parallel configuration against it.
-  std::vector<MapResult> serial;
-  serial.reserve(cases.size());
-  for (const FuzzCase& fuzz : cases) {
-    MapperOptions options = fuzz.options;
-    options.jobs = 1;
-    options.route_jobs = 1;
-    serial.push_back(
-        map_program(fuzz.program, fabrics[fuzz.fabric], options));
-  }
-
-  struct Config {
-    const char* name;
-    int jobs;
-    int route_jobs;
-  };
-  const std::vector<Config> configs = {
-      {"trial_parallel", 4, 1},
-      {"net_parallel", 1, 4},
-      {"trial_and_net_parallel", 4, 4},
-  };
-  for (const Config& config : configs) {
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      MapperOptions options = cases[c].options;
-      options.jobs = config.jobs;
-      options.route_jobs = config.route_jobs;
-      const MapResult result =
-          map_program(cases[c].program, fabrics[cases[c].fabric], options);
-      expect_identical(serial[c], result,
-                       std::string(config.name) + "/case" + std::to_string(c));
+  for (const FrontierKind kind :
+       {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
+    force_frontier_kind(kind);
+    for (const int jobs : {1, 4}) {
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        MapperOptions options = cases[c].options;
+        options.jobs = jobs;
+        const std::string label = std::string(to_string(kind)) + "/jobs" +
+                                  std::to_string(jobs) + "/case" +
+                                  std::to_string(c);
+        const MapResult result =
+            map_legal(cases[c], fabrics[cases[c].fabric], options, label);
+        expect_identical(serial[c], result, label);
+      }
     }
+  }
+  clear_frontier_kind_override();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    MapperOptions options = cases[c].options;
+    options.jobs = 4;
+    const std::string label = "default/jobs4/case" + std::to_string(c);
+    expect_identical(
+        serial[c],
+        map_legal(cases[c], fabrics[cases[c].fabric], options, label), label);
   }
 }
 
@@ -140,18 +176,10 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
 
-  std::vector<MapResult> serial;
-  serial.reserve(cases.size());
-  for (const FuzzCase& fuzz : cases) {
-    MapperOptions options = fuzz.options;
-    options.jobs = 1;
-    options.route_jobs = 1;
-    serial.push_back(
-        map_program(fuzz.program, fabrics[fuzz.fabric], options));
-  }
+  const std::vector<MapResult> serial = map_serial(cases, fabrics);
 
-  // The whole case set as one batch on a shared 4-worker engine, with
-  // net-parallel negotiation diagnostics enabled per job.
+  // The whole case set as one batch on a shared 4-worker engine, with the
+  // negotiation diagnostic enabled per job.
   std::vector<BatchJob> manifest;
   for (const FuzzCase& fuzz : cases) {
     BatchJob job;
@@ -159,7 +187,6 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
     job.program = &fuzz.program;
     job.fabric = &fabrics[fuzz.fabric];
     job.options = fuzz.options;
-    job.options.route_jobs = 2;
     manifest.push_back(std::move(job));
   }
   MappingEngine engine(4);
@@ -170,67 +197,24 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
   for (std::size_t c = 0; c < cases.size(); ++c) {
     ASSERT_TRUE(result.records[c].ok) << c;
     EXPECT_EQ(result.records[c].name, cases[c].program.name());
-    expect_identical(serial[c], result.records[c].result,
-                     "batch/case" + std::to_string(c));
+    const std::string label = "batch/case" + std::to_string(c);
+    expect_legal(cases[c], fabrics[cases[c].fabric], result.records[c].result,
+                 label);
+    expect_identical(serial[c], result.records[c].result, label);
   }
 }
 
-TEST(FuzzDifferential, FrontierKindsBitIdenticalAcrossParallelismConfigs) {
-  // The frontier queue (binary heap / bucket queue / 4-ary heap) is a pure
-  // constant-factor knob: forcing each kind across the whole corpus must
-  // reproduce the reference binary-heap result bit for bit — serial and
-  // under combined trial+net parallelism, diagnostics included. This is the
-  // stack-level twin of tests/frontier_queue_test.cpp.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
-  const std::vector<Fabric> fabrics = make_fabrics();
-  const std::vector<FuzzCase> cases = make_cases();
-
-  std::vector<MapResult> reference;
-  reference.reserve(cases.size());
-  force_frontier_kind(FrontierKind::Binary);
-  for (const FuzzCase& fuzz : cases) {
-    MapperOptions options = fuzz.options;
-    options.jobs = 1;
-    options.route_jobs = 1;
-    reference.push_back(
-        map_program(fuzz.program, fabrics[fuzz.fabric], options));
-  }
-
-  for (const FrontierKind kind :
-       {FrontierKind::Bucket, FrontierKind::Dary4}) {
-    force_frontier_kind(kind);
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      for (const int jobs : {1, 4}) {
-        MapperOptions options = cases[c].options;
-        options.jobs = jobs;
-        options.route_jobs = jobs;
-        const MapResult result =
-            map_program(cases[c].program, fabrics[cases[c].fabric], options);
-        expect_identical(reference[c], result,
-                         std::string(to_string(kind)) + "/jobs" +
-                             std::to_string(jobs) + "/case" +
-                             std::to_string(c));
-      }
-    }
-  }
-}
-
-TEST(FuzzDifferential, WarmStartIdentityAcrossParallelismAndFrontiers) {
+TEST(FuzzDifferential, WarmStartIdentityAcrossFrontierKinds) {
   // Warm-start contract, fuzzed: seeding a negotiation from its own
   // converged result (an empty edit) must reproduce the cold paths bit for
-  // bit with zero searches — at every route_jobs and frontier kind, since
-  // sessions replay against whatever configuration the server runs.
+  // bit with zero searches — at every frontier kind, since sessions replay
+  // against whatever configuration the server runs.
   struct OverrideGuard {
     ~OverrideGuard() { clear_frontier_kind_override(); }
   } guard;
 
   const std::vector<Fabric> fabrics = make_fabrics();
   const TechnologyParams params;
-  Executor executor(4);
-  PathFinderScratchPool pool;
 
   for (int c = 0; c < 24; ++c) {
     const Fabric& fabric = fabrics[static_cast<std::size_t>(c % 2)];
@@ -258,24 +242,20 @@ TEST(FuzzDifferential, WarmStartIdentityAcrossParallelismAndFrontiers) {
     for (const FrontierKind kind :
          {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
       force_frontier_kind(kind);
-      for (const int route_jobs : {1, 4}) {
-        warm_options.route_jobs = route_jobs;
-        PathFinderScratch warm_scratch;
-        const PathFinderResult warm = route_nets_negotiated(
-            graph, params, nets, warm_options, warm_scratch, executor, pool);
-        const std::string label = "case" + std::to_string(c) + "/" +
-                                  to_string(kind) + "/jobs" +
-                                  std::to_string(route_jobs);
-        EXPECT_TRUE(warm.converged) << label;
-        EXPECT_EQ(warm.searches_performed, 0) << label;
-        EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
-        EXPECT_FALSE(warm.warm_restarted) << label;
-        EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
-        ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
-        for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-          EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
-              << label << "/net" << i;
-        }
+      PathFinderScratch warm_scratch;
+      const PathFinderResult warm = route_nets_negotiated(
+          graph, params, nets, warm_options, warm_scratch);
+      const std::string label =
+          "case" + std::to_string(c) + "/" + to_string(kind);
+      EXPECT_TRUE(warm.converged) << label;
+      EXPECT_EQ(warm.searches_performed, 0) << label;
+      EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
+      EXPECT_FALSE(warm.warm_restarted) << label;
+      EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
+      ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
+      for (std::size_t i = 0; i < cold.paths.size(); ++i) {
+        EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
+            << label << "/net" << i;
       }
     }
     clear_frontier_kind_override();
@@ -303,30 +283,35 @@ TEST(FuzzDifferential, WarmStartIdentityAcrossParallelismAndFrontiers) {
   }
 }
 
-TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossParallelismConfigs) {
+TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossJobsAndFrontierKinds) {
   // ALT landmarks at heuristic_weight = 1.0 are an exact-search
   // implementation detail: across the whole fuzz corpus the mapped output
   // (latency, placements, trace hash) must be identical to the grid
-  // heuristic, and the ALT-enabled run itself must stay bit-identical
-  // across every parallelism configuration — including the diagnostics.
+  // heuristic, and the ALT-enabled run itself must stay bit-identical at
+  // every jobs value and frontier kind — including the diagnostics.
+  struct OverrideGuard {
+    ~OverrideGuard() { clear_frontier_kind_override(); }
+  } guard;
+
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
 
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    MapperOptions grid = cases[c].options;
+    const FuzzCase& fuzz = cases[c];
+    const Fabric& fabric = fabrics[fuzz.fabric];
+    const std::string suffix = "/case" + std::to_string(c);
+    MapperOptions grid = fuzz.options;
     grid.jobs = 1;
-    grid.route_jobs = 1;
     grid.route_landmarks = 0;
     const MapResult grid_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], grid);
+        map_legal(fuzz, fabric, grid, "grid" + suffix);
 
     MapperOptions alt = grid;
     alt.route_landmarks = 8;
     alt.route_heuristic_weight = 1.0;
-    const MapResult alt_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], alt);
+    const MapResult alt_serial = map_legal(fuzz, fabric, alt, "alt" + suffix);
 
-    const std::string label = "alt_vs_grid/case" + std::to_string(c);
+    const std::string label = "alt_vs_grid" + suffix;
     EXPECT_EQ(grid_serial.latency, alt_serial.latency) << label;
     EXPECT_EQ(grid_serial.initial_placement, alt_serial.initial_placement)
         << label;
@@ -337,36 +322,30 @@ TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossParallelismConfigs) {
     EXPECT_EQ(alt_serial.negotiation->landmarks_used, 8) << label;
     EXPECT_EQ(alt_serial.negotiation->heuristic_weight, 1.0) << label;
 
-    struct Config {
-      const char* name;
-      int jobs;
-      int route_jobs;
-    };
-    for (const Config& config : {Config{"trial_parallel", 4, 1},
-                                 Config{"net_parallel", 1, 4},
-                                 Config{"trial_and_net_parallel", 4, 4}}) {
-      MapperOptions options = alt;
-      options.jobs = config.jobs;
-      options.route_jobs = config.route_jobs;
-      const MapResult result =
-          map_program(cases[c].program, fabrics[cases[c].fabric], options);
-      expect_identical(alt_serial, result,
-                       std::string("alt/") + config.name + "/case" +
-                           std::to_string(c));
+    for (const FrontierKind kind : {FrontierKind::Bucket,
+                                    FrontierKind::Dary4}) {
+      force_frontier_kind(kind);
+      for (const int jobs : {1, 4}) {
+        MapperOptions options = alt;
+        options.jobs = jobs;
+        const std::string config = std::string("alt/") + to_string(kind) +
+                                   "/jobs" + std::to_string(jobs) + suffix;
+        expect_identical(alt_serial, map_legal(fuzz, fabric, options, config),
+                         config);
+      }
     }
+    clear_frontier_kind_override();
 
-    // The bounded-suboptimal knob must not break the parallel determinism
-    // contract either: w = 1.5 serial equals w = 1.5 net-parallel.
+    // The bounded-suboptimal knob must not break the determinism contract
+    // either: w = 1.5 serial equals w = 1.5 trial-parallel.
     MapperOptions weighted = alt;
     weighted.route_heuristic_weight = 1.5;
     const MapResult weighted_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], weighted);
-    MapperOptions weighted_parallel = weighted;
-    weighted_parallel.route_jobs = 4;
-    const MapResult weighted_net = map_program(
-        cases[c].program, fabrics[cases[c].fabric], weighted_parallel);
-    expect_identical(weighted_serial, weighted_net,
-                     "alt_w1.5/net_parallel/case" + std::to_string(c));
+        map_legal(fuzz, fabric, weighted, "alt_w1.5/jobs1" + suffix);
+    weighted.jobs = 4;
+    expect_identical(weighted_serial,
+                     map_legal(fuzz, fabric, weighted, "alt_w1.5/jobs4" + suffix),
+                     "alt_w1.5/jobs4" + suffix);
   }
 }
 

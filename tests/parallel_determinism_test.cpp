@@ -4,19 +4,17 @@
 // `--jobs 1` and `--jobs 4` must produce the same MapResult — latency,
 // full control trace, initial placement — for both the MVFB and the
 // Monte-Carlo flows. Also unit-tests the shared Executor the flows run on
-// (submit/wait, cross-job interleaving, per-job error capture) and its
-// blocking ThreadPool facade.
+// (submit/wait, cross-job interleaving, per-job error capture, and the
+// submit-only nesting the engine's setup job relies on).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <functional>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "common/executor.hpp"
-#include "common/thread_pool.hpp"
 #include "core/mapper.hpp"
 #include "core/monte_carlo.hpp"
 #include "core/mvfb.hpp"
@@ -28,66 +26,7 @@ namespace qspr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4);
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.parallel_for_each(kCount, [&](std::size_t index, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    hits[index].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, SingleWorkerRunsInOrder) {
-  ThreadPool pool(1);
-  std::vector<std::size_t> order;
-  pool.parallel_for_each(64, [&](std::size_t index, int worker) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(index);
-  });
-  ASSERT_EQ(order.size(), 64u);
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, ReusableAcrossJobsAndEmptyJobsAreNoops) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  pool.parallel_for_each(0, [&](std::size_t, int) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 0);
-  for (int round = 0; round < 5; ++round) {
-    pool.parallel_for_each(10, [&](std::size_t, int) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 50);
-}
-
-TEST(ThreadPool, PropagatesBodyExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for_each(
-                   100,
-                   [&](std::size_t index, int) {
-                     if (index == 42) throw std::runtime_error("trial failed");
-                   }),
-               std::runtime_error);
-  // The pool stays usable after a failed job.
-  std::atomic<int> total{0};
-  pool.parallel_for_each(8, [&](std::size_t, int) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 8);
-}
-
-TEST(ThreadPool, RejectsZeroWorkers) {
-  EXPECT_THROW(ThreadPool(0), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Executor: the submit/wait layer under the pool and the batch service
+// Executor: the submit/wait layer under the trial flows and batch service
 // ---------------------------------------------------------------------------
 
 TEST(ExecutorTest, SubmitThenWaitRunsEveryIndexOnce) {
@@ -105,6 +44,51 @@ TEST(ExecutorTest, SubmitThenWaitRunsEveryIndexOnce) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
+
+TEST(ExecutorTest, SingleWorkerRunsIndicesInOrder) {
+  Executor executor(1);
+  std::vector<std::size_t> order;
+  executor.wait(executor.submit(64, [&](std::size_t index, int worker) {
+    EXPECT_EQ(worker, 0);
+    order.push_back(index);
+  }));
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ExecutorTest, ZeroCountJobsAreNoops) {
+  for (const int workers : {1, 3}) {
+    Executor executor(workers);
+    std::atomic<int> total{0};
+    const Executor::Job empty =
+        executor.submit(0, [&](std::size_t, int) { total.fetch_add(1); });
+    EXPECT_TRUE(empty.valid());
+    executor.wait(empty);
+    EXPECT_EQ(total.load(), 0) << workers << " workers";
+  }
+}
+
+TEST(ExecutorTest, ReusableAfterAFailedJob) {
+  for (const int workers : {1, 4}) {
+    Executor executor(workers);
+    EXPECT_THROW(executor.wait(executor.submit(
+                     100,
+                     [](std::size_t index, int) {
+                       if (index == 42) {
+                         throw std::runtime_error("trial failed");
+                       }
+                     })),
+                 std::runtime_error);
+    std::atomic<int> total{0};
+    for (int round = 0; round < 5; ++round) {
+      executor.wait(
+          executor.submit(10, [&](std::size_t, int) { total.fetch_add(1); }));
+    }
+    EXPECT_EQ(total.load(), 50) << workers << " workers";
+  }
+}
+
+TEST(ExecutorTest, RejectsZeroWorkers) { EXPECT_THROW(Executor(0), Error); }
 
 TEST(ExecutorTest, MultipleJobsInFlightAllComplete) {
   Executor executor(3);
@@ -177,87 +161,62 @@ TEST(ExecutorTest, WaitOnInvalidJobThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Nested submission: bodies submitting + waiting on their own executor
+// Nested submission: bodies may submit to their own executor, never wait
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorNested, SubmitAndWaitFromInsideBodiesCompletes) {
-  // Every outer body spawns a sub-job and waits on it from inside the pool.
-  // Workers must help drain instead of parking — with 2 workers and 4
-  // concurrent nested waits this hangs if a waiting worker ever blocks
-  // while claimable work exists.
-  Executor executor(2);
-  constexpr std::size_t kOuter = 4;
-  constexpr std::size_t kInner = 16;
-  std::atomic<int> inner_runs{0};
-  Executor::Job outer = executor.submit(kOuter, [&](std::size_t, int) {
-    Executor::Job sub = executor.submit(kInner, [&](std::size_t, int) {
-      inner_runs.fetch_add(1, std::memory_order_relaxed);
-    });
-    executor.wait(sub);
-  });
-  executor.wait(outer);
-  EXPECT_EQ(inner_runs.load(), static_cast<int>(kOuter * kInner));
-}
-
-TEST(ExecutorNested, DeeplyNestedJobsCompleteOnOneWorker) {
-  // A 1-worker executor runs everything inline on the waiting thread;
-  // nested submit/wait must recurse cleanly instead of deadlocking.
-  Executor executor(1);
-  std::atomic<int> leaves{0};
-  const std::function<void(int)> spawn = [&](int depth) {
-    if (depth == 0) {
-      leaves.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Executor::Job job = executor.submit(
-        2, [&, depth](std::size_t, int) { spawn(depth - 1); });
-    executor.wait(job);
-  };
-  spawn(5);
-  EXPECT_EQ(leaves.load(), 32);
-}
-
-TEST(ExecutorNested, WorkerIdsStayConfinedPerJobAcrossNesting) {
-  // The per-worker scratch contract: within one job, no two bodies may run
-  // under the same worker id concurrently — including the case a nested
-  // wait's help-drain could create by re-entering the *outer* job on a
-  // worker whose outer body is suspended beneath the wait (help-drain must
-  // skip jobs the thread has a frame in). The guard holds a per-(job,
-  // worker) lock across each whole body, nested wait included; any
-  // re-entry or cross-thread aliasing trips `overlap`.
-  Executor executor(4);
-  constexpr std::size_t kOuter = 8;
-  constexpr std::size_t kInner = 32;
-  std::atomic<bool> overlap{false};
-  struct JobSlots {
-    std::array<std::atomic<int>, 16> in_use{};
-  };
-  JobSlots outer_slots;
-  JobSlots inner_slots;  // shared by all sub-jobs: a worker id is one thread
-  const auto body_guard = [&](JobSlots& job_slots, int worker,
-                              const auto& work) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    if (job_slots.in_use[worker].exchange(1) != 0) overlap = true;
-    work();
-    job_slots.in_use[worker].store(0);
-  };
-  std::atomic<int> inner_runs{0};
-  Executor::Job outer =
-      executor.submit(kOuter, [&](std::size_t, int worker) {
-        body_guard(outer_slots, worker, [&] {
-          Executor::Job sub =
-              executor.submit(kInner, [&](std::size_t, int inner_worker) {
-                body_guard(inner_slots, inner_worker, [&] {
-                  inner_runs.fetch_add(1, std::memory_order_relaxed);
-                });
-              });
-          executor.wait(sub);
+TEST(ExecutorNested, BodiesThatSubmitWithoutWaitingComplete) {
+  // The engine's setup-overlap pattern: each outer body submits a sub-job
+  // and returns; the external thread waits on the outer job, then on every
+  // sub-job it spawned.
+  for (const int workers : {1, 2, 4}) {
+    Executor executor(workers);
+    constexpr std::size_t kOuter = 8;
+    constexpr std::size_t kInner = 16;
+    std::atomic<int> inner_runs{0};
+    std::mutex handles_mutex;
+    std::vector<Executor::Job> subs;
+    const Executor::Job outer =
+        executor.submit(kOuter, [&](std::size_t, int) {
+          Executor::Job sub = executor.submit(kInner, [&](std::size_t, int) {
+            inner_runs.fetch_add(1, std::memory_order_relaxed);
+          });
+          const std::lock_guard<std::mutex> lock(handles_mutex);
+          subs.push_back(std::move(sub));
         });
-      });
-  executor.wait(outer);
-  EXPECT_EQ(inner_runs.load(), static_cast<int>(kOuter * kInner));
-  EXPECT_FALSE(overlap.load());
+    executor.wait(outer);
+    ASSERT_EQ(subs.size(), kOuter);
+    for (const Executor::Job& sub : subs) executor.wait(sub);
+    EXPECT_EQ(inner_runs.load(), static_cast<int>(kOuter * kInner))
+        << workers << " workers";
+  }
+}
+
+TEST(ExecutorNested, WaitFromInsideABodyThrows) {
+  // A body waiting on its own executor could block a pool thread on work
+  // queued behind itself; wait() rejects it instead of deadlocking, on the
+  // pool threads and on a waiter running bodies as worker 0 alike.
+  for (const int workers : {1, 3}) {
+    Executor executor(workers);
+    constexpr std::size_t kOuter = 6;
+    std::atomic<int> rejected{0};
+    std::mutex handles_mutex;
+    std::vector<Executor::Job> subs;
+    const Executor::Job outer =
+        executor.submit(kOuter, [&](std::size_t, int) {
+          Executor::Job sub = executor.submit(4, [](std::size_t, int) {});
+          try {
+            executor.wait(sub);
+          } catch (const Error&) {
+            rejected.fetch_add(1);
+          }
+          const std::lock_guard<std::mutex> lock(handles_mutex);
+          subs.push_back(std::move(sub));
+        });
+    executor.wait(outer);
+    for (const Executor::Job& sub : subs) executor.wait(sub);
+    EXPECT_EQ(rejected.load(), static_cast<int>(kOuter))
+        << workers << " workers";
+  }
 }
 
 // ---------------------------------------------------------------------------

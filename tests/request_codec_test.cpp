@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/result_cache.hpp"
 #include "service/request_codec.hpp"
 
 namespace qspr {
@@ -127,6 +128,34 @@ TEST_F(ParseRequestTest, SeedRoundTripsUpTo2To53AndClampsAbove) {
   const ServeRequest small =
       parse(R"({"type":"map","id":"r3","qasm":"q","seed":42})");
   EXPECT_EQ(small.options.rng_seed, 42ULL);
+}
+
+TEST_F(ParseRequestTest, RetiredKnobsParseAndKeepServerDefaults) {
+  // route_jobs and report were never per-request overrides; a frame that
+  // still carries them must parse and map with the server defaults.
+  defaults_.mvfb_seeds = 9;
+  defaults_.route_landmarks = 3;
+  const ServeRequest request = parse(
+      R"({"type":"map","id":"r1","qasm":"q","route_jobs":4,"report":true})");
+  EXPECT_EQ(request.kind, RequestKind::Map);
+  EXPECT_EQ(request.options.negotiation_report, defaults_.negotiation_report);
+  EXPECT_EQ(request.options.jobs, defaults_.jobs);
+  EXPECT_EQ(request.options.mvfb_seeds, 9);
+  EXPECT_EQ(request.options.route_landmarks, 3);
+  EXPECT_EQ(request.options.route_heuristic_weight,
+            defaults_.route_heuristic_weight);
+  EXPECT_EQ(mapper_options_fingerprint(request.options),
+            mapper_options_fingerprint(defaults_));
+}
+
+TEST_F(ParseRequestTest, SearchKnobsAreApplied) {
+  const ServeRequest request = parse(
+      R"({"type":"map","id":"r1","qasm":"q","landmarks":0,"heuristic_weight":1.5})");
+  EXPECT_EQ(request.options.route_landmarks, 0);
+  EXPECT_EQ(request.options.route_heuristic_weight, 1.5);
+  EXPECT_THROW(
+      parse(R"({"type":"map","id":"r2","qasm":"q","heuristic_weight":0.5})"),
+      Error);
 }
 
 TEST_F(ParseRequestTest, SessionFramesParse) {
