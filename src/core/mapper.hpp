@@ -100,7 +100,7 @@ struct NegotiationDiagnostics {
   /// Warm-start observability (engine incremental remapping): nets that
   /// entered the negotiation pre-routed from a prior result, and how many
   /// of those survived to convergence untouched. 0/0 on cold runs; part of
-  /// the bit-identity contract (identical at any frontier kind).
+  /// the bit-identity contract.
   int warm_seeded = 0;
   int warm_kept = 0;
 };

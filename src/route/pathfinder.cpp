@@ -15,6 +15,12 @@ namespace qspr {
 
 namespace {
 
+/// Consecutive non-improving iterations on a *saturated plateau* (total
+/// excess comparable to the net count) before the adaptive schedule reports
+/// non-convergence instead of burning the iteration cap; small stubborn
+/// tails are pressed with a ramped history increment for six times as long.
+constexpr int kStagnationLimit = 3;
+
 ResourceRef resource_of_node(const RouteNode& node) {
   if (node.is_trap) return ResourceRef{};
   if (node.junction.is_valid()) return ResourceRef::junction(node.junction);
@@ -802,12 +808,8 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
         if (summary.total_excess <= tail) {
           history_increment = std::min(history_increment * 2.0,
                                        options.history_increment * 64.0);
-          if (options.stagnation_limit > 0 &&
-              stagnant_iterations >= 6 * options.stagnation_limit) {
-            break;
-          }
-        } else if (options.stagnation_limit > 0 &&
-                   stagnant_iterations >= options.stagnation_limit) {
+          if (stagnant_iterations >= 6 * kStagnationLimit) break;
+        } else if (stagnant_iterations >= kStagnationLimit) {
           // A saturated *plateau* (excess comparable to the net count) is
           // the signature of regional over-subscription: ramping only
           // destabilises it, and every extra iteration is a whole-fabric

@@ -136,20 +136,14 @@ struct PathFinderOptions {
   /// unbounded present factor, without the flood); (c) the loop stops as
   /// soon as the residual excess reaches the provable structural floor
   /// (endpoint port demand over port capacity — no negotiation can do
-  /// better), or after stagnation_limit consecutive iterations without
-  /// excess improvement despite the ramp.
+  /// better), or after a few consecutive iterations without excess
+  /// improvement despite the ramp (kStagnationLimit in pathfinder.cpp).
   bool adaptive_schedule = true;
   /// Present-factor ceiling under adaptive_schedule. 64 is above the factor
   /// any converging bench suite ever reaches (iteration 12 of the x1.5
   /// schedule), so converging negotiations are bit-identical with or without
   /// the cap.
   double present_factor_max = 64.0;
-  /// Consecutive non-improving iterations on a *saturated plateau* (total
-  /// excess comparable to the net count) before the loop reports
-  /// non-convergence instead of burning the iteration cap; small stubborn
-  /// tails are instead pressed with a ramped history increment for the
-  /// remaining budget. Only applies under adaptive_schedule; 0 disables.
-  int stagnation_limit = 3;
   /// Bidirectional A* (meet-in-the-middle over the arena's second frontier)
   /// for long queries, where a unidirectional search settles most of the
   /// fabric before reaching the target. AStarArena only.
@@ -232,7 +226,7 @@ struct PathFinderResult {
   double heuristic_weight = 1.0;
 
   // --- warm-start observability (0 on cold runs; deterministic for a
-  // --- fixed seed, identical at any frontier kind) ---
+  // --- fixed seed) ---
 
   /// Nets that entered the negotiation pre-routed from the warm seed.
   int warm_seeded = 0;

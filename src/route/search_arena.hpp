@@ -10,14 +10,14 @@
 //
 // Layout: per-node state is a single struct-of-records array (dist, parent,
 // and one interleaved stamp+settled word), so touching / relaxing / settling
-// a node costs one cache line instead of four. The frontier is pluggable
-// (FrontierKind): a monotone bucket queue for integer Duration costs, a
-// 4-ary heap for double congestion costs, and the original std::push_heap
-// binary heap kept as the reference implementation. All three pop the exact
-// same (f, g, node) total order — entries are pairwise distinct because
-// pushes happen only on strict dist improvement — so the choice is purely a
-// constant-factor knob: searches are bit-identical across kinds (asserted by
-// tests/frontier_queue_test.cpp and the fuzz differential).
+// a node costs one cache line instead of four. The frontier is fixed by the
+// cost type at compile time: integer Duration costs (the Router, the event
+// simulator) use a monotone bucket queue, double congestion costs (the
+// PathFinder, the ALT table builders) a std::push_heap binary heap. Both pop
+// the same strict (f, g, node) total order — entries are pairwise distinct
+// because pushes happen only on strict dist improvement — so the bucket
+// queue is checked against the heap pop for pop (tests/frontier_queue_test).
+// See docs/perf.md for the measurements behind the choice.
 //
 // The arena is shared by the incremental Router (integer Duration costs),
 // the PathFinder negotiated search (double congestion costs), and the ALT
@@ -27,14 +27,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <optional>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -43,96 +39,150 @@
 
 namespace qspr {
 
-/// Which priority structure backs a SearchArena's frontier.
-///   Binary — std::push_heap/pop_heap binary heap (reference).
-///   Bucket — monotone bucket queue keyed by integer f; legal only for
-///            integer costs under a consistent heuristic (popped keys never
-///            decrease). Requests for Bucket on a floating-point arena are
-///            resolved to Dary4.
-///   Dary4  — 4-ary implicit heap; fewer levels and better cache locality
-///            per sift than the binary heap, valid for any cost type.
-enum class FrontierKind : std::uint8_t { Binary, Bucket, Dary4 };
+/// Frontier entry over (f = g + h, g, node); g- and node-tie-breaks keep the
+/// search deterministic across platforms.
+template <typename Cost>
+struct FrontierEntry {
+  Cost f;
+  Cost g;
+  RouteNodeId node;
 
-[[nodiscard]] constexpr const char* to_string(FrontierKind kind) {
-  switch (kind) {
-    case FrontierKind::Binary: return "binary";
-    case FrontierKind::Bucket: return "bucket";
-    case FrontierKind::Dary4: return "dary4";
+  friend bool operator>(const FrontierEntry& a, const FrontierEntry& b) {
+    if (a.f != b.f) return a.f > b.f;
+    if (a.g != b.g) return a.g > b.g;
+    return a.node > b.node;
   }
-  return "?";
-}
+};
 
-[[nodiscard]] inline std::optional<FrontierKind> frontier_kind_from_name(
-    std::string_view name) {
-  if (name == "binary") return FrontierKind::Binary;
-  if (name == "bucket") return FrontierKind::Bucket;
-  if (name == "dary" || name == "dary4") return FrontierKind::Dary4;
-  return std::nullopt;
-}
+/// std::push_heap binary min-heap over the strict (f, g, node) order. Valid
+/// for any cost type; the frontier of every floating-point arena.
+template <typename Cost>
+class HeapFrontier {
+ public:
+  using Entry = FrontierEntry<Cost>;
 
-namespace detail {
-/// Process-global frontier override (-1 = none). Set programmatically by
-/// tests/benches via force_frontier_kind, or once from QSPR_FRONTIER_QUEUE.
-inline std::atomic<int>& frontier_override() {
-  static std::atomic<int> value{-1};
-  return value;
-}
+  void clear() { heap_.clear(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-[[nodiscard]] inline int frontier_env_request() {
-  static const int parsed = [] {
-    const char* env = std::getenv("QSPR_FRONTIER_QUEUE");
-    if (env == nullptr) return -1;
-    const auto kind = frontier_kind_from_name(env);
-    return kind ? static_cast<int>(*kind) : -1;
-  }();
-  return parsed;
-}
-}  // namespace detail
+  void push(Entry entry) {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
 
-/// Forces every arena (from its next begin()) onto one frontier kind.
-/// Test/bench hook; production selection is the per-cost default or the
-/// QSPR_FRONTIER_QUEUE environment variable.
-inline void force_frontier_kind(FrontierKind kind) {
-  detail::frontier_override().store(static_cast<int>(kind),
-                                    std::memory_order_relaxed);
-}
-inline void clear_frontier_kind_override() {
-  detail::frontier_override().store(-1, std::memory_order_relaxed);
-}
+  Entry pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const Entry top = heap_.back();
+    heap_.pop_back();
+    return top;
+  }
 
-/// The frontier an arena of the given cost class uses absent a per-arena
-/// pin: override > environment > (Bucket for integers, Dary4 for doubles).
-/// Bucket on a floating-point arena resolves to Dary4 — bucket indexing
-/// requires integer keys.
-[[nodiscard]] inline FrontierKind default_frontier_kind(bool integer_cost) {
-  int requested = detail::frontier_override().load(std::memory_order_relaxed);
-  if (requested < 0) requested = detail::frontier_env_request();
-  if (requested >= 0) {
-    const auto kind = static_cast<FrontierKind>(requested);
-    if (kind == FrontierKind::Bucket && !integer_cost) {
-      return FrontierKind::Dary4;
+  /// Smallest entry without removal (frontier must be non-empty).
+  [[nodiscard]] const Entry& top() const { return heap_.front(); }
+
+  [[nodiscard]] RouteNodeId peek_node() const {
+    return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
+  }
+
+ private:
+  std::vector<Entry> heap_;
+};
+
+/// Monotone bucket queue keyed by the (small, bounded) integer f; legal only
+/// for integer costs under a consistent heuristic (popped keys never
+/// decrease). The frontier of every integer-cost arena.
+///
+/// Only buckets in [cursor_, high_] can be non-empty: pops drain the cursor
+/// bucket before advancing, and monotone pushes never land below the cursor
+/// (asserted) — which bounds both pop scans and clears. Each bucket is itself
+/// a tiny (g, node) min-heap: unit-cost grids pile many ties into one f, and
+/// a linear min-scan per pop would go quadratic in that pile (measurably
+/// slower than the binary heap); the per-bucket heap keeps pops at
+/// O(log bucket) while preserving the exact (f, g, node) order — every entry
+/// in a bucket shares f.
+template <typename Cost>
+class BucketFrontier {
+  static_assert(std::is_integral_v<Cost>, "bucket keys must be integers");
+
+ public:
+  using Entry = FrontierEntry<Cost>;
+
+  void clear() {
+    if (live_ > 0) {
+      for (std::size_t i = cursor_; i <= high_ && live_ > 0; ++i) {
+        live_ -= buckets_[i].size();
+        buckets_[i].clear();
+      }
     }
-    return kind;
+    cursor_ = 0;
+    high_ = 0;
+    live_ = 0;
   }
-  return integer_cost ? FrontierKind::Bucket : FrontierKind::Dary4;
-}
+
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+
+  void push(Entry entry) {
+    assert(entry.f >= Cost{0});
+    const auto key = static_cast<std::size_t>(entry.f);
+    // Monotonicity: with a consistent heuristic every push's f is at least
+    // the last popped f — and the cursor only ever advances to popped keys
+    // (a push never moves it), so keys never land below it. The frontier
+    // may transiently drain mid-expansion; later sibling pushes are bounded
+    // by the popped key, not each other.
+    assert(key >= cursor_);
+    if (key >= buckets_.size()) {
+      buckets_.resize(std::max<std::size_t>(key + 1, buckets_.size() * 2));
+    }
+    auto& bucket = buckets_[key];
+    bucket.push_back(entry);
+    std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
+    high_ = std::max(high_, key);
+    ++live_;
+  }
+
+  Entry pop() {
+    advance_cursor();
+    auto& bucket = buckets_[cursor_];
+    // All entries here share f == cursor_; the per-bucket heap pops the
+    // (g, node) minimum, so the strict (f, g, node) order matches the
+    // whole-frontier heap exactly.
+    std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
+    const Entry top = bucket.back();
+    bucket.pop_back();
+    --live_;
+    return top;
+  }
+
+  /// Smallest entry without removal (frontier must be non-empty).
+  [[nodiscard]] const Entry& top() {
+    advance_cursor();
+    return buckets_[cursor_].front();  // per-bucket heap root = min
+  }
+
+  /// First entry of the lowest non-empty bucket: a prefetch hint, not
+  /// necessarily the next pop.
+  [[nodiscard]] RouteNodeId peek_node() const {
+    if (live_ == 0) return RouteNodeId::invalid();
+    for (std::size_t i = cursor_; i <= high_; ++i) {
+      if (!buckets_[i].empty()) return buckets_[i].front().node;
+    }
+    return RouteNodeId::invalid();
+  }
+
+ private:
+  void advance_cursor() {
+    while (buckets_[cursor_].empty()) ++cursor_;
+  }
+
+  std::vector<std::vector<Entry>> buckets_;
+  std::size_t cursor_ = 0;
+  std::size_t high_ = 0;
+  std::size_t live_ = 0;
+};
 
 template <typename Cost>
 class SearchArena {
  public:
-  /// Heap entry over (f = g + h, g, node); g- and node-tie-breaks keep the
-  /// search deterministic across platforms.
-  struct HeapEntry {
-    Cost f;
-    Cost g;
-    RouteNodeId node;
-
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.f != b.f) return a.f > b.f;
-      if (a.g != b.g) return a.g > b.g;
-      return a.node > b.node;
-    }
-  };
+  using HeapEntry = FrontierEntry<Cost>;
 
   static constexpr Cost infinity() {
     if constexpr (std::is_floating_point_v<Cost>) {
@@ -151,10 +201,7 @@ class SearchArena {
       wipe_stamps();
       generation_ = 1;
     }
-    if (!kind_pinned_) {
-      kind_ = default_frontier_kind(!std::is_floating_point_v<Cost>);
-    }
-    forward_.clear_all();
+    forward_.clear();
   }
 
   /// Starts a fresh *bidirectional* search: the primary (forward) frontier
@@ -164,19 +211,8 @@ class SearchArena {
   void begin_dual(std::size_t node_count) {
     begin(node_count);
     if (state_b_.size() < node_count) state_b_.resize(node_count);
-    backward_.clear_all();
+    backward_.clear();
   }
-
-  /// Pins this arena to one frontier kind (begin() stops consulting the
-  /// global default). Bucket on a floating-point arena resolves to Dary4.
-  void set_frontier(FrontierKind kind) {
-    if constexpr (std::is_floating_point_v<Cost>) {
-      if (kind == FrontierKind::Bucket) kind = FrontierKind::Dary4;
-    }
-    kind_ = kind;
-    kind_pinned_ = true;
-  }
-  [[nodiscard]] FrontierKind frontier() const { return kind_; }
 
   /// Unique nodes settled over this arena's lifetime (monotone; sample a
   /// before/after delta to attribute settles to one simulation or query).
@@ -215,18 +251,18 @@ class SearchArena {
     s.parent = from;
   }
 
-  [[nodiscard]] bool heap_empty() const { return forward_.empty(kind_); }
+  [[nodiscard]] bool heap_empty() const { return forward_.empty(); }
   void heap_push(Cost f, Cost g, RouteNodeId node) {
-    forward_.push(kind_, HeapEntry{f, g, node});
+    forward_.push(HeapEntry{f, g, node});
   }
-  HeapEntry heap_pop() { return forward_.pop(kind_); }
+  HeapEntry heap_pop() { return forward_.pop(); }
   /// Smallest entry without removal (frontier must be non-empty) — the
   /// meet-in-the-middle termination test reads both tops every step.
-  [[nodiscard]] const HeapEntry& heap_top() { return forward_.top(kind_); }
+  [[nodiscard]] const HeapEntry& heap_top() { return forward_.top(); }
   /// Cheap guess at a node the frontier will pop soon (invalid when empty);
   /// prefetch hint only — no ordering guarantee for the bucket queue.
   [[nodiscard]] RouteNodeId heap_peek_node() const {
-    return forward_.peek_node(kind_);
+    return forward_.peek_node();
   }
 
   // --- second (backward) frontier; live only after begin_dual ---
@@ -261,14 +297,14 @@ class SearchArena {
 #endif
   }
 
-  [[nodiscard]] bool heap_empty_b() const { return backward_.empty(kind_); }
+  [[nodiscard]] bool heap_empty_b() const { return backward_.empty(); }
   void heap_push_b(Cost f, Cost g, RouteNodeId node) {
-    backward_.push(kind_, HeapEntry{f, g, node});
+    backward_.push(HeapEntry{f, g, node});
   }
-  HeapEntry heap_pop_b() { return backward_.pop(kind_); }
-  [[nodiscard]] const HeapEntry& heap_top_b() { return backward_.top(kind_); }
+  HeapEntry heap_pop_b() { return backward_.pop(); }
+  [[nodiscard]] const HeapEntry& heap_top_b() { return backward_.top(); }
   [[nodiscard]] RouteNodeId heap_peek_node_b() const {
-    return backward_.peek_node(kind_);
+    return backward_.peek_node();
   }
 
   /// Test hook: jump the generation counter (e.g. to just below the wrap
@@ -315,167 +351,14 @@ class SearchArena {
     for (NodeState& s : state_b_) s.tag = 0;
   }
 
-  /// One frontier: heap storage shared by Binary/Dary4, bucket array for
-  /// Bucket. All three implementations pop the strict (f, g, node) minimum;
-  /// entries are pairwise distinct (pushes only on strict improvement), so
-  /// the pop sequence — and therefore the search — is identical across
-  /// kinds.
-  struct Frontier {
-    std::vector<HeapEntry> heap_;
-    // Monotone bucket queue, indexed by the (small, bounded) integer f.
-    // Only buckets in [cursor_, high_] can be non-empty: pops drain the
-    // cursor bucket before advancing, and monotone pushes never land below
-    // the cursor (asserted) — which bounds both pop scans and clears. Each
-    // bucket is itself a tiny (g, node) min-heap: unit-cost grids pile many
-    // ties into one f, and a linear min-scan per pop would go quadratic in
-    // that pile (measurably slower than the binary heap); the per-bucket
-    // heap keeps pops at O(log bucket) while preserving the exact
-    // (f, g, node) order — every entry in a bucket shares f.
-    std::vector<std::vector<HeapEntry>> buckets_;
-    std::size_t cursor_ = 0;
-    std::size_t high_ = 0;
-    std::size_t live_ = 0;
-
-    void clear_all() {
-      heap_.clear();
-      if (live_ > 0) {
-        for (std::size_t i = cursor_; i <= high_ && live_ > 0; ++i) {
-          live_ -= buckets_[i].size();
-          buckets_[i].clear();
-        }
-      }
-      cursor_ = 0;
-      high_ = 0;
-      live_ = 0;
-    }
-
-    [[nodiscard]] bool empty(FrontierKind kind) const {
-      return kind == FrontierKind::Bucket ? live_ == 0 : heap_.empty();
-    }
-
-    void push(FrontierKind kind, HeapEntry entry) {
-      switch (kind) {
-        case FrontierKind::Binary:
-          heap_.push_back(entry);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          return;
-        case FrontierKind::Bucket: {
-          const auto key = bucket_key(entry.f);
-          // Monotonicity: with a consistent heuristic every push's f is at
-          // least the last popped f — and the cursor only ever advances to
-          // popped keys (a push never moves it), so keys never land below
-          // it. The frontier may transiently drain mid-expansion; later
-          // sibling pushes are bounded by the popped key, not each other.
-          assert(key >= cursor_);
-          if (key >= buckets_.size()) {
-            buckets_.resize(std::max<std::size_t>(key + 1,
-                                                  buckets_.size() * 2));
-          }
-          auto& bucket = buckets_[key];
-          bucket.push_back(entry);
-          std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
-          high_ = std::max(high_, key);
-          ++live_;
-          return;
-        }
-        case FrontierKind::Dary4:
-          dary_push(entry);
-          return;
-      }
-    }
-
-    HeapEntry pop(FrontierKind kind) {
-      switch (kind) {
-        case FrontierKind::Binary: {
-          std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          const HeapEntry top = heap_.back();
-          heap_.pop_back();
-          return top;
-        }
-        case FrontierKind::Bucket: {
-          advance_cursor();
-          auto& bucket = buckets_[cursor_];
-          // All entries here share f == cursor_; the per-bucket heap pops
-          // the (g, node) minimum, so the strict (f, g, node) order matches
-          // the whole-frontier heaps exactly.
-          std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
-          const HeapEntry top = bucket.back();
-          bucket.pop_back();
-          --live_;
-          return top;
-        }
-        case FrontierKind::Dary4:
-          return dary_pop();
-      }
-      return HeapEntry{};  // unreachable
-    }
-
-    [[nodiscard]] const HeapEntry& top(FrontierKind kind) {
-      if (kind != FrontierKind::Bucket) return heap_.front();
-      advance_cursor();
-      return buckets_[cursor_].front();  // per-bucket heap root = min
-    }
-
-    [[nodiscard]] RouteNodeId peek_node(FrontierKind kind) const {
-      if (kind != FrontierKind::Bucket) {
-        return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
-      }
-      if (live_ == 0) return RouteNodeId::invalid();
-      for (std::size_t i = cursor_; i <= high_; ++i) {
-        if (!buckets_[i].empty()) return buckets_[i].front().node;
-      }
-      return RouteNodeId::invalid();
-    }
-
-   private:
-    [[nodiscard]] static std::size_t bucket_key(Cost f) {
-      assert(f >= Cost{0});
-      return static_cast<std::size_t>(f);
-    }
-
-    void advance_cursor() {
-      while (buckets_[cursor_].empty()) ++cursor_;
-    }
-
-    void dary_push(HeapEntry entry) {
-      heap_.push_back(entry);
-      std::size_t i = heap_.size() - 1;
-      while (i > 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!(heap_[parent] > heap_[i])) break;
-        std::swap(heap_[parent], heap_[i]);
-        i = parent;
-      }
-    }
-
-    HeapEntry dary_pop() {
-      const HeapEntry top = heap_.front();
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      const std::size_t n = heap_.size();
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + 4, n);
-        for (std::size_t child = first + 1; child < last; ++child) {
-          if (heap_[best] > heap_[child]) best = child;
-        }
-        if (!(heap_[i] > heap_[best])) break;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
-      }
-      return top;
-    }
-  };
+  // Integer costs take the bucket queue, floating-point costs the heap.
+  using Frontier = std::conditional_t<std::is_integral_v<Cost>,
+                                      BucketFrontier<Cost>,
+                                      HeapFrontier<Cost>>;
 
   std::vector<NodeState> state_;
   std::uint32_t generation_ = 0;
   std::uint64_t settles_ = 0;
-  FrontierKind kind_ =
-      default_frontier_kind(!std::is_floating_point_v<Cost>);
-  bool kind_pinned_ = false;
   Frontier forward_;
   // Backward-frontier twin state (bidirectional searches only); shares
   // generation_ so one begin_dual invalidates both sides in O(1).

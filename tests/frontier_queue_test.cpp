@@ -1,12 +1,12 @@
-// Frontier-queue equivalence: the three SearchArena frontier kinds (binary
-// heap, monotone bucket queue, 4-ary heap) must pop the exact same strict
-// (f, g, node) order on every workload the searches can generate — which is
-// what makes the frontier a pure constant-factor knob with bit-identical
-// routing results. Also covers the bucket queue's monotone discipline, the
-// generation-wrap reuse path, and the floating-point Bucket->Dary4 fallback.
+// Frontier-queue equivalence: the monotone bucket queue (the frontier of
+// every integer-cost arena) must pop the exact same strict (f, g, node) order
+// as the binary heap on every workload the searches can generate, so the
+// heap serves as its reference. Also covers the heap frontier of a
+// floating-point arena and the generation-wrap reuse path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -17,15 +17,15 @@
 namespace qspr {
 namespace {
 
-using Entry = SearchArena<Duration>::HeapEntry;
+using Entry = FrontierEntry<Duration>;
 
-constexpr FrontierKind kKinds[] = {FrontierKind::Binary, FrontierKind::Bucket,
-                                   FrontierKind::Dary4};
-
-/// Drains `arena`'s forward frontier into a vector.
-std::vector<Entry> drain(SearchArena<Duration>& arena) {
+/// Pushes `entries` into a fresh frontier and drains it.
+template <typename Frontier>
+std::vector<Entry> push_and_drain(const std::vector<Entry>& entries) {
+  Frontier frontier;
+  for (const Entry& e : entries) frontier.push(e);
   std::vector<Entry> popped;
-  while (!arena.heap_empty()) popped.push_back(arena.heap_pop());
+  while (!frontier.empty()) popped.push_back(frontier.pop());
   return popped;
 }
 
@@ -39,7 +39,7 @@ void expect_same_entries(const std::vector<Entry>& a,
   }
 }
 
-TEST(FrontierQueueTest, AllKindsPopIdenticalOrderOnAdversarialTies) {
+TEST(FrontierQueueTest, BucketAndHeapPopIdenticalOrderOnAdversarialTies) {
   // Heavy equal-f and equal-(f, g) collisions: the whole batch shares three
   // f values and repeats g values, so only the (f, g, node) tie-break can
   // order it. Entries are pairwise distinct, exactly like real pushes
@@ -52,134 +52,92 @@ TEST(FrontierQueueTest, AllKindsPopIdenticalOrderOnAdversarialTies) {
     }
   }
   // Same multiset in a different push order must not matter either.
-  std::vector<Entry> reversed(batch.rbegin(), batch.rend());
+  const std::vector<Entry> reversed(batch.rbegin(), batch.rend());
 
-  std::vector<std::vector<Entry>> popped;
-  for (const FrontierKind kind : kKinds) {
-    for (const std::vector<Entry>& order : {batch, reversed}) {
-      SearchArena<Duration> arena;
-      arena.set_frontier(kind);
-      arena.begin(batch.size());
-      for (const Entry& e : order) arena.heap_push(e.f, e.g, e.node);
-      popped.push_back(drain(arena));
-    }
-  }
-  for (std::size_t i = 0; i + 1 < popped.size(); ++i) {
-    expect_same_entries(popped[i], popped[i + 1], "tie batch");
-  }
+  const std::vector<Entry> reference =
+      push_and_drain<HeapFrontier<Duration>>(batch);
+  expect_same_entries(reference,
+                      push_and_drain<HeapFrontier<Duration>>(reversed),
+                      "heap, reversed");
+  expect_same_entries(reference, push_and_drain<BucketFrontier<Duration>>(batch),
+                      "bucket");
+  expect_same_entries(reference,
+                      push_and_drain<BucketFrontier<Duration>>(reversed),
+                      "bucket, reversed");
   // And the shared order actually is the sorted strict (f, g, node) order.
-  for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
-    EXPECT_TRUE(popped[0][i + 1] > popped[0][i]) << "pop " << i;
+  for (std::size_t i = 0; i + 1 < reference.size(); ++i) {
+    EXPECT_TRUE(reference[i + 1] > reference[i]) << "pop " << i;
   }
 }
 
-TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
-  // Dijkstra-shaped interleaving: each pop may trigger pushes whose keys are
-  // bounded below by the *popped* key (not by each other) — including pushes
-  // after the frontier transiently drains mid-expansion, the case that
-  // constrains the bucket queue's cursor discipline.
-  std::vector<std::vector<Entry>> popped;
-  for (const FrontierKind kind : kKinds) {
-    SearchArena<Duration> arena;
-    arena.set_frontier(kind);
-    arena.begin(4096);
-    std::uint64_t lcg = 12345;
-    const auto next = [&lcg](std::uint64_t bound) {
-      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-      return (lcg >> 33) % bound;
-    };
-    int node = 0;
-    arena.heap_push(0, 0, RouteNodeId::from_index(node++));
-    std::vector<Entry> sequence;
-    while (!arena.heap_empty() && node < 4000) {
-      const Entry top = arena.heap_pop();
-      sequence.push_back(top);
-      // 0-3 children pushed immediately, each at f >= the *popped* f — the
-      // Dijkstra discipline. With branching often 0 the frontier regularly
-      // drains mid-run and refills from the last pop, the case that
-      // constrains the bucket queue's cursor handling.
-      std::uint64_t children = next(4);
-      // Whenever the frontier fully drains, refill from the popped key —
-      // the drain-refill case that pins the bucket cursor's floor to the
-      // last *popped* key rather than to earlier sibling pushes.
-      if (arena.heap_empty() && children == 0) children = 1;
-      for (std::uint64_t c = 0; c < children; ++c) {
-        const Duration f = top.f + static_cast<Duration>(next(12));
-        const Duration g = f - static_cast<Duration>(next(5));
-        arena.heap_push(f, g, RouteNodeId::from_index(node++));
-      }
+/// Dijkstra-shaped interleaving on one frontier: each pop may trigger pushes
+/// whose keys are bounded below by the *popped* key (not by each other).
+template <typename Frontier>
+std::vector<Entry> run_monotone_workload() {
+  Frontier frontier;
+  std::uint64_t lcg = 12345;
+  const auto next = [&lcg](std::uint64_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return (lcg >> 33) % bound;
+  };
+  int node = 0;
+  frontier.push({0, 0, RouteNodeId::from_index(node++)});
+  std::vector<Entry> sequence;
+  while (!frontier.empty() && node < 4000) {
+    const Entry top = frontier.pop();
+    sequence.push_back(top);
+    // 0-3 children pushed immediately, each at f >= the *popped* f — the
+    // Dijkstra discipline. With branching often 0 the frontier regularly
+    // drains mid-run and refills from the last pop, the case that
+    // constrains the bucket queue's cursor handling.
+    std::uint64_t children = next(4);
+    // Whenever the frontier fully drains, refill from the popped key — the
+    // drain-refill case that pins the bucket cursor's floor to the last
+    // *popped* key rather than to earlier sibling pushes.
+    if (frontier.empty() && children == 0) children = 1;
+    for (std::uint64_t c = 0; c < children; ++c) {
+      const Duration f = top.f + static_cast<Duration>(next(12));
+      const Duration g = f - static_cast<Duration>(next(5));
+      frontier.push({f, g, RouteNodeId::from_index(node++)});
     }
-    while (!arena.heap_empty()) sequence.push_back(arena.heap_pop());
-    popped.push_back(std::move(sequence));
   }
-  ASSERT_GT(popped[0].size(), 1000u) << "workload died early; reseed the LCG";
-  expect_same_entries(popped[0], popped[1], "binary vs bucket");
-  expect_same_entries(popped[0], popped[2], "binary vs dary4");
-  for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
-    EXPECT_LE(popped[0][i].f, popped[0][i + 1].f) << "monotone pop " << i;
-  }
+  while (!frontier.empty()) sequence.push_back(frontier.pop());
+  return sequence;
 }
 
-TEST(FrontierQueueTest, RouterPathsIdenticalAcrossKinds) {
-  // End-to-end: the integer-cost Router must return byte-identical paths and
-  // costs under every frontier kind (the fuzz differential asserts the same
-  // through the whole mapper; this is the focused single-query version).
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  const Router router(graph, params);
-  CongestionState congestion(fabric.segment_count(), fabric.junction_count());
-  const auto traps = fabric.traps_by_distance(fabric.center());
-
-  for (std::size_t i = 0; i + 1 < std::min<std::size_t>(traps.size(), 16);
-       ++i) {
-    std::vector<RoutedPath> paths;
-    std::vector<Duration> costs;
-    for (const FrontierKind kind : kKinds) {
-      SearchArena<Duration> arena;
-      arena.set_frontier(kind);
-      Duration cost = 0;
-      const auto path = router.route_trap_to_trap(
-          traps[i], traps[i + 1], congestion, arena, &cost);
-      ASSERT_TRUE(path.has_value()) << to_string(kind);
-      paths.push_back(*path);
-      costs.push_back(cost);
-    }
-    EXPECT_EQ(paths[0].nodes, paths[1].nodes) << "bucket, query " << i;
-    EXPECT_EQ(paths[0].nodes, paths[2].nodes) << "dary4, query " << i;
-    EXPECT_EQ(costs[0], costs[1]) << "query " << i;
-    EXPECT_EQ(costs[0], costs[2]) << "query " << i;
+TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesHeap) {
+  const std::vector<Entry> heap =
+      run_monotone_workload<HeapFrontier<Duration>>();
+  const std::vector<Entry> bucket =
+      run_monotone_workload<BucketFrontier<Duration>>();
+  ASSERT_GT(heap.size(), 1000u) << "workload died early; reseed the LCG";
+  expect_same_entries(heap, bucket, "heap vs bucket");
+  for (std::size_t i = 0; i + 1 < heap.size(); ++i) {
+    EXPECT_LE(heap[i].f, heap[i + 1].f) << "monotone pop " << i;
   }
 }
 
-TEST(FrontierQueueTest, ForcedKindOverrideAppliesAtNextBegin) {
-  SearchArena<Duration> arena;
-  force_frontier_kind(FrontierKind::Binary);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Binary);
-  force_frontier_kind(FrontierKind::Dary4);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Dary4);
-  clear_frontier_kind_override();
-  arena.begin(8);  // back to the integer-cost default
-  EXPECT_EQ(arena.frontier(), FrontierKind::Bucket);
-  // A pinned arena stops consulting the global override entirely.
-  force_frontier_kind(FrontierKind::Binary);
-  arena.set_frontier(FrontierKind::Bucket);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Bucket);
-  clear_frontier_kind_override();
-}
-
-TEST(FrontierQueueTest, BucketOnFloatingPointArenaResolvesToDary4) {
-  // Bucket indexing needs integer keys; a double arena silently falls back.
+TEST(FrontierQueueTest, FloatingPointArenaBreaksEqualFTiesByGThenNode) {
+  // A double arena (PathFinder, ALT table builds) runs on the binary heap;
+  // equal-f entries must still pop in strict (g, node) order.
   SearchArena<double> arena;
-  arena.set_frontier(FrontierKind::Bucket);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Dary4);
   arena.begin(8);
-  arena.heap_push(1.5, 1.5, RouteNodeId::from_index(0));
-  arena.heap_push(0.5, 0.5, RouteNodeId::from_index(1));
-  EXPECT_EQ(arena.heap_pop().node, RouteNodeId::from_index(1));
+  arena.heap_push(2.5, 1.0, RouteNodeId::from_index(3));
+  arena.heap_push(2.5, 0.5, RouteNodeId::from_index(5));
+  arena.heap_push(2.5, 1.0, RouteNodeId::from_index(1));
+  arena.heap_push(3.0, 0.0, RouteNodeId::from_index(0));
+  arena.heap_push(2.5, 2.0, RouteNodeId::from_index(2));
+  const std::vector<std::pair<double, int>> expected = {
+      {0.5, 5}, {1.0, 1}, {1.0, 3}, {2.0, 2}};
+  for (const auto& [g, node] : expected) {
+    ASSERT_FALSE(arena.heap_empty());
+    const auto entry = arena.heap_pop();
+    EXPECT_EQ(entry.f, 2.5);
+    EXPECT_EQ(entry.g, g);
+    EXPECT_EQ(entry.node, RouteNodeId::from_index(node));
+  }
+  EXPECT_EQ(arena.heap_pop().node, RouteNodeId::from_index(0));
+  EXPECT_TRUE(arena.heap_empty());
 }
 
 TEST(FrontierQueueTest, GenerationWrapReuseStaysCorrect) {

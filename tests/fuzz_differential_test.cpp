@@ -1,7 +1,6 @@
 // Differential fuzz harness over the whole mapping stack: seeded random
 // programs driven through map_program under every configuration that must
-// not change the result — trial-parallel jobs, each frontier queue kind, and
-// the batch service — asserting bit-identical MapResults (latency, trace,
+// not change the result — trial-parallel jobs and the batch service — asserting bit-identical MapResults (latency, trace,
 // placements) and identical negotiation diagnostics across all of them.
 // Agreement alone would let a bug shared by every configuration pass, so
 // every fuzzed mapping is also checked for physical legality with
@@ -20,7 +19,6 @@
 #include "fabric/quale_fabric.hpp"
 #include "qecc/random_circuit.hpp"
 #include "route/pathfinder.hpp"
-#include "route/search_arena.hpp"
 #include "service/batch_mapper.hpp"
 #include "sim/trace_validator.hpp"
 
@@ -87,7 +85,7 @@ MapResult map_legal(const FuzzCase& fuzz, const Fabric& fabric,
   return result;
 }
 
-/// Serial reference mapping of every case (jobs 1, default frontier kinds).
+/// Serial reference mapping of every case (jobs 1).
 std::vector<MapResult> map_serial(const std::vector<FuzzCase>& cases,
                                   const std::vector<Fabric>& fabrics) {
   std::vector<MapResult> serial;
@@ -131,44 +129,25 @@ void expect_identical(const MapResult& reference, const MapResult& other,
   }
 }
 
-TEST(FuzzDifferential, JobsAndFrontierKindsMatchSerialAcrossSeededPrograms) {
-  // Trial parallelism and the frontier queue (binary heap / bucket queue /
-  // 4-ary heap) are pure performance knobs: every jobs x frontier-kind
-  // combination must reproduce the serial default-queue result bit for bit,
-  // diagnostics included. This is the stack-level twin of
-  // tests/frontier_queue_test.cpp.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
+TEST(FuzzDifferential, JobsMatchSerialAcrossSeededPrograms) {
+  // Trial parallelism is a pure performance knob: a repeat serial run and a
+  // 4-job run must both reproduce the serial result bit for bit,
+  // diagnostics included.
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
   const std::vector<MapResult> serial = map_serial(cases, fabrics);
 
-  for (const FrontierKind kind :
-       {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
-    force_frontier_kind(kind);
-    for (const int jobs : {1, 4}) {
-      for (std::size_t c = 0; c < cases.size(); ++c) {
-        MapperOptions options = cases[c].options;
-        options.jobs = jobs;
-        const std::string label = std::string(to_string(kind)) + "/jobs" +
-                                  std::to_string(jobs) + "/case" +
-                                  std::to_string(c);
-        const MapResult result =
-            map_legal(cases[c], fabrics[cases[c].fabric], options, label);
-        expect_identical(serial[c], result, label);
-      }
+  for (const int jobs : {1, 4}) {
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      MapperOptions options = cases[c].options;
+      options.jobs = jobs;
+      const std::string label =
+          "jobs" + std::to_string(jobs) + "/case" + std::to_string(c);
+      expect_identical(
+          serial[c],
+          map_legal(cases[c], fabrics[cases[c].fabric], options, label),
+          label);
     }
-  }
-  clear_frontier_kind_override();
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    MapperOptions options = cases[c].options;
-    options.jobs = 4;
-    const std::string label = "default/jobs4/case" + std::to_string(c);
-    expect_identical(
-        serial[c],
-        map_legal(cases[c], fabrics[cases[c].fabric], options, label), label);
   }
 }
 
@@ -204,15 +183,10 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
   }
 }
 
-TEST(FuzzDifferential, WarmStartIdentityAcrossFrontierKinds) {
+TEST(FuzzDifferential, WarmStartIdentityOnSeededNetBatches) {
   // Warm-start contract, fuzzed: seeding a negotiation from its own
   // converged result (an empty edit) must reproduce the cold paths bit for
-  // bit with zero searches — at every frontier kind, since sessions replay
-  // against whatever configuration the server runs.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
+  // bit with zero searches.
   const std::vector<Fabric> fabrics = make_fabrics();
   const TechnologyParams params;
 
@@ -239,26 +213,20 @@ TEST(FuzzDifferential, WarmStartIdentityAcrossFrontierKinds) {
         nets, cold.paths, nets, cold.history, cold.final_present_factor);
     PathFinderOptions warm_options;
     warm_options.warm = &seed;
-    for (const FrontierKind kind :
-         {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
-      force_frontier_kind(kind);
-      PathFinderScratch warm_scratch;
-      const PathFinderResult warm = route_nets_negotiated(
-          graph, params, nets, warm_options, warm_scratch);
-      const std::string label =
-          "case" + std::to_string(c) + "/" + to_string(kind);
-      EXPECT_TRUE(warm.converged) << label;
-      EXPECT_EQ(warm.searches_performed, 0) << label;
-      EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
-      EXPECT_FALSE(warm.warm_restarted) << label;
-      EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
-      ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
-      for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-        EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
-            << label << "/net" << i;
-      }
+    PathFinderScratch warm_scratch;
+    const PathFinderResult warm = route_nets_negotiated(
+        graph, params, nets, warm_options, warm_scratch);
+    const std::string label = "case" + std::to_string(c);
+    EXPECT_TRUE(warm.converged) << label;
+    EXPECT_EQ(warm.searches_performed, 0) << label;
+    EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
+    EXPECT_FALSE(warm.warm_restarted) << label;
+    EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
+    ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
+    for (std::size_t i = 0; i < cold.paths.size(); ++i) {
+      EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
+          << label << "/net" << i;
     }
-    clear_frontier_kind_override();
 
     // Perturbed edit: replace one net and require the robustness contract —
     // the warm run converges wherever the cold run does (via the internal
@@ -283,16 +251,12 @@ TEST(FuzzDifferential, WarmStartIdentityAcrossFrontierKinds) {
   }
 }
 
-TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossJobsAndFrontierKinds) {
+TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossJobs) {
   // ALT landmarks at heuristic_weight = 1.0 are an exact-search
   // implementation detail: across the whole fuzz corpus the mapped output
   // (latency, placements, trace hash) must be identical to the grid
   // heuristic, and the ALT-enabled run itself must stay bit-identical at
-  // every jobs value and frontier kind — including the diagnostics.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
+  // every jobs value — including the diagnostics.
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
 
@@ -322,19 +286,14 @@ TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossJobsAndFrontierKinds) {
     EXPECT_EQ(alt_serial.negotiation->landmarks_used, 8) << label;
     EXPECT_EQ(alt_serial.negotiation->heuristic_weight, 1.0) << label;
 
-    for (const FrontierKind kind : {FrontierKind::Bucket,
-                                    FrontierKind::Dary4}) {
-      force_frontier_kind(kind);
-      for (const int jobs : {1, 4}) {
-        MapperOptions options = alt;
-        options.jobs = jobs;
-        const std::string config = std::string("alt/") + to_string(kind) +
-                                   "/jobs" + std::to_string(jobs) + suffix;
-        expect_identical(alt_serial, map_legal(fuzz, fabric, options, config),
-                         config);
-      }
+    for (const int jobs : {1, 4}) {
+      MapperOptions options = alt;
+      options.jobs = jobs;
+      const std::string config =
+          "alt/jobs" + std::to_string(jobs) + suffix;
+      expect_identical(alt_serial, map_legal(fuzz, fabric, options, config),
+                       config);
     }
-    clear_frontier_kind_override();
 
     // The bounded-suboptimal knob must not break the determinism contract
     // either: w = 1.5 serial equals w = 1.5 trial-parallel.
