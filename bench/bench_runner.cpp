@@ -254,8 +254,8 @@ std::string speedup_cell(double baseline_ns, double ns) {
 
 /// Perf-gate extractor over a *parsed* baseline BENCH_routing.json: the
 /// `ns_per_query` of the sample with the given name, engine and config,
-/// looked up across every gated suite array (pathfinder_runs, alt_longhaul,
-/// frontier_queue and incremental_remap). Field order and formatting no
+/// looked up across every gated suite array (pathfinder_runs, alt_longhaul
+/// and frontier_queue). Field order and formatting no
 /// longer matter (the shared JSON reader handles both), and a malformed
 /// baseline fails the gate loudly instead of silently matching nothing.
 /// Returns a negative value when the sample is absent.
@@ -263,8 +263,8 @@ double baseline_ns_per_query(const JsonValue& baseline,
                              const std::string& name,
                              const std::string& engine,
                              const std::string& config) {
-  for (const char* suite : {"pathfinder_runs", "alt_longhaul",
-                            "frontier_queue", "incremental_remap"}) {
+  for (const char* suite :
+       {"pathfinder_runs", "alt_longhaul", "frontier_queue"}) {
     const JsonValue* runs = baseline.find(suite);
     if (runs == nullptr || !runs->is_array()) continue;
     for (const JsonValue& sample : runs->items()) {
@@ -491,167 +491,6 @@ int main(int argc, char** argv) {
       gated_samples.push_back(sample);
     }
     json.end_array();
-  }
-
-  // --------------------------------------------------- incremental remap ---
-  // Warm-start remapping speedup as a function of edit distance: a base net
-  // set is routed cold to convergence once, then each edited variant
-  // (replace d nets) is routed cold and warm (seeded via make_warm_seed from
-  // the converged prior) on identical inputs. Two contracts are enforced
-  // in-process, failing the run with exit code 6 rather than recording a
-  // silently broken table:
-  //   * empty edit (d = 0): the warm run must perform ZERO searches, keep
-  //     every seeded path, and produce node-for-node the cold run's paths
-  //     (the bit-identity contract the serve session API depends on);
-  //   * the warm run must converge wherever the cold run does.
-  // The warm rows feed the --smoke perf gate like every pathfinder suite.
-  {
-    const Fabric fabric = make_paper_fabric();
-    const RoutingGraph graph(fabric);
-    // Disjoint endpoints (structural floor 0) so the base set genuinely
-    // converges — the regime incremental sessions live in; the shared-
-    // endpoint saturated regime never converges and thus never seeds. Load
-    // 16 keeps the central corridors contested (cold runs take ~10
-    // iterations) but below saturation — past ~24 even a one-net edit
-    // shifts the equilibrium globally and every warm run degenerates to
-    // its cold-restart fallback, which benchmarks the fallback, not the
-    // warm path.
-    const int load = 16;
-    const auto base = distinct_nets(fabric, load, 11);
-    const int cold_reps = smoke ? 2 : 25;
-    const int warm_reps = smoke ? 30 : 50;
-
-    // The converged prior every warm run seeds from (routed once, untimed).
-    static PathFinderScratch prior_scratch;
-    const PathFinderResult prior = route_nets_negotiated(
-        graph, params, base, PathFinderOptions{}, prior_scratch);
-    if (!prior.converged) {
-      std::cerr << "incremental_remap: base negotiation did not converge — "
-                   "warm-start speedups against a non-converged prior are "
-                   "meaningless\n";
-      return 6;
-    }
-
-    // Replacement endpoints drawn with a different seed; a candidate equal
-    // to the net it would displace is a zero-distance edit and is skipped.
-    const auto candidates = distinct_nets(fabric, load, 97);
-
-    TextTable table({"Edit", "cold ns/rep", "warm ns/rep", "speedup",
-                     "seeded", "kept", "warm searches", "cold searches"});
-    json.key("incremental_remap").begin_array();
-    for (const int distance : {0, 1, 2, 4, 8}) {
-      std::vector<NetRequest> nets = base;
-      int replaced = 0;
-      for (std::size_t c = 0;
-           c < candidates.size() && replaced < distance; ++c) {
-        NetRequest& slot =
-            nets[nets.size() - 1 - static_cast<std::size_t>(replaced)];
-        if (candidates[c].from == slot.from && candidates[c].to == slot.to) {
-          continue;
-        }
-        slot = candidates[c];
-        ++replaced;
-      }
-      if (replaced != distance) {
-        std::cerr << "incremental_remap: only " << replaced << " of "
-                  << distance << " replacement nets found\n";
-        return 6;
-      }
-      const std::string name =
-          "incremental_remap_d" + std::to_string(distance);
-
-      static PathFinderScratch cold_scratch;
-      PathFinderResult cold;
-      const double cold_ns = qspr_bench::time_ns_per_rep(cold_reps, [&] {
-        cold = route_nets_negotiated(graph, params, nets, PathFinderOptions{},
-                                     cold_scratch);
-      });
-
-      const WarmStartSeed seed = make_warm_seed(
-          base, prior.paths, nets, prior.history, prior.final_present_factor);
-      PathFinderOptions warm_options;
-      warm_options.warm = &seed;
-      static PathFinderScratch warm_scratch;
-      PathFinderResult warm;
-      const double warm_ns = qspr_bench::time_ns_per_rep(warm_reps, [&] {
-        warm = route_nets_negotiated(graph, params, nets, warm_options,
-                                     warm_scratch);
-      });
-
-      if (cold.converged && !warm.converged) {
-        std::cerr << name << ": warm run failed to converge where the cold "
-                     "run did\n";
-        return 6;
-      }
-      if (distance == 0) {
-        bool identical = warm.searches_performed == 0 &&
-                         warm.warm_seeded == load &&
-                         warm.warm_kept == load &&
-                         warm.total_delay == cold.total_delay &&
-                         warm.paths.size() == cold.paths.size();
-        for (std::size_t i = 0; identical && i < cold.paths.size(); ++i) {
-          identical = warm.paths[i].nodes == cold.paths[i].nodes;
-        }
-        if (!identical) {
-          std::cerr << name << ": empty edit is not bit-identical to the "
-                       "cold run (searches=" << warm.searches_performed
-                    << ", kept=" << warm.warm_kept << "/" << load
-                    << ") — the warm-start identity contract is broken\n";
-          return 6;
-        }
-      }
-
-      const auto write_row = [&](const char* config, double ns_per_rep,
-                                 int repetitions,
-                                 const PathFinderResult& result) {
-        const long long queries = static_cast<long long>(nets.size()) *
-                                  result.iterations_used;
-        const double ns_per_query =
-            queries > 0 ? ns_per_rep / static_cast<double>(queries) : 0.0;
-        json.begin_object()
-            .field("name", name)
-            .field("engine", "astar_arena")
-            .field("config", std::string(config))
-            .field("edit_distance", distance)
-            .field("nets", load)
-            .field("repetitions", repetitions)
-            .field("ns_per_rep", ns_per_rep)
-            .field("ns_per_query", ns_per_query)
-            .field("speedup_vs_cold",
-                   ns_per_rep > 0.0 ? cold_ns / ns_per_rep : 0.0)
-            .field("searches_per_rep", result.searches_performed)
-            .field("iterations_used", result.iterations_used)
-            .field("converged", result.converged)
-            .field("warm_seeded", result.warm_seeded)
-            .field("warm_kept", result.warm_kept)
-            .field("warm_restarted", result.warm_restarted)
-            .field("total_delay_us",
-                   static_cast<long long>(result.total_delay))
-            .end_object();
-        PathFinderSample gate_row;
-        gate_row.name = name;
-        gate_row.engine = "astar_arena";
-        gate_row.config = config;
-        gate_row.repetitions = repetitions;
-        gate_row.ns_per_query = ns_per_query;
-        gated_samples.push_back(std::move(gate_row));
-      };
-      write_row("cold", cold_ns, cold_reps, cold);
-      write_row("warm", warm_ns, warm_reps, warm);
-
-      table.add_row({std::to_string(distance), format_fixed(cold_ns, 0),
-                     format_fixed(warm_ns, 0),
-                     speedup_cell(cold_ns, warm_ns),
-                     std::to_string(warm.warm_seeded),
-                     std::to_string(warm.warm_kept),
-                     std::to_string(warm.searches_performed),
-                     std::to_string(cold.searches_performed)});
-    }
-    json.end_array();
-    std::cout << "\nincremental remap (" << load
-              << " nets, warm seeded from the converged prior, empty-edit "
-                 "bit-identity asserted):\n"
-              << table.to_string();
   }
 
   // -------------------------------------------------- saturated overload ---

@@ -50,9 +50,8 @@ int usage(const char* argv0) {
       << "                         work is cancelled (default 2000)\n"
       << "  --deadline-ms <n>      server-side default per-request deadline\n"
       << "                         (0 = none; requests may set their own)\n"
-      << "  --cache-budget-mb <n>  combined LRU memory budget for the\n"
-      << "                         fabric-artifact and result caches, split\n"
-      << "                         evenly (0 = unlimited, the default);\n"
+      << "  --cache-budget-mb <n>  LRU memory budget for the fabric-artifact\n"
+      << "                         cache (0 = unlimited, the default);\n"
       << "                         evictions are visible in `stats`\n"
       << "  --fabric <file>        default fabric drawing (default: the\n"
       << "                         paper's 45x85 QUALE fabric); requests may\n"

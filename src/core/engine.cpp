@@ -49,22 +49,18 @@ std::vector<NetRequest> relocation_nets(const Trace& trace,
   return nets;
 }
 
-NegotiationDiagnostics diagnose_negotiation(
-    const FabricArtifacts& artifacts, const TechnologyParams& tech,
-    const Trace& trace, const MapperOptions& mapper,
-    const CachedMapResult* warm, std::vector<NetRequest>* nets_out,
-    std::vector<RoutedPath>* paths_out,
-    std::vector<double>* history_out = nullptr,
-    double* present_factor_out = nullptr) {
+NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
+                                            const TechnologyParams& tech,
+                                            const Trace& trace,
+                                            const MapperOptions& mapper) {
   NegotiationDiagnostics diagnostics;
   const RoutingGraph& routing_graph = artifacts.graph;
-  std::vector<NetRequest> nets = relocation_nets(trace, routing_graph.fabric());
+  const std::vector<NetRequest> nets =
+      relocation_nets(trace, routing_graph.fabric());
   diagnostics.nets = static_cast<int>(nets.size());
   if (nets.empty()) {
     diagnostics.converged = true;
     diagnostics.heuristic_weight = mapper.route_heuristic_weight;
-    if (nets_out != nullptr) nets_out->clear();
-    if (paths_out != nullptr) paths_out->clear();
     return diagnostics;
   }
   PathFinderOptions options;
@@ -82,18 +78,6 @@ NegotiationDiagnostics diagnose_negotiation(
                                           turn_cost, options.alt_landmarks);
     options.landmarks = landmarks.get();
   }
-  // Warm start: seed from a converged prior's routed nets plus its ledger
-  // history and final present factor (the negotiation state that makes
-  // edits stable — see WarmStartSeed). Seeding only changes *how much work*
-  // the negotiation does — a prior of the identical net set converges at
-  // iteration 1 with zero searches and bit-identical paths, and an edited
-  // set re-routes only the delta.
-  WarmStartSeed seed;
-  if (warm != nullptr && warm->converged && !warm->nets.empty()) {
-    seed = make_warm_seed(warm->nets, warm->paths, nets, warm->route_history,
-                          warm->route_present_factor);
-    options.warm = &seed;
-  }
   PathFinderScratch scratch;
   PathFinderResult negotiated =
       route_nets_negotiated(routing_graph, tech, nets, options, scratch);
@@ -109,14 +93,6 @@ NegotiationDiagnostics diagnose_negotiation(
   diagnostics.heuristic_weight = negotiated.heuristic_weight;
   diagnostics.alt_refreshes = negotiated.alt_refreshes;
   diagnostics.nodes_settled = negotiated.nodes_settled;
-  diagnostics.warm_seeded = negotiated.warm_seeded;
-  diagnostics.warm_kept = negotiated.warm_kept;
-  if (nets_out != nullptr) *nets_out = std::move(nets);
-  if (paths_out != nullptr) *paths_out = std::move(negotiated.paths);
-  if (history_out != nullptr) *history_out = std::move(negotiated.history);
-  if (present_factor_out != nullptr) {
-    *present_factor_out = negotiated.final_present_factor;
-  }
   return diagnostics;
 }
 
@@ -208,8 +184,7 @@ ResultCache::Key MappingEngine::result_key(const Program& program,
 }
 
 void MappingEngine::set_cache_budget_bytes(std::size_t budget) {
-  cache_.set_budget_bytes(budget == 0 ? 0 : budget / 2);
-  result_cache_.set_budget_bytes(budget == 0 ? 0 : budget / 2);
+  cache_.set_budget_bytes(budget);
 }
 
 MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
@@ -380,28 +355,8 @@ MapResult MappingEngine::finish(PendingMap pending) {
   // it includes time spent interleaved with other jobs' trials.
   result.cpu_ms = state.stopwatch.elapsed_ms();
   if (state.job.options.negotiation_report && result.trace.size() > 0) {
-    std::vector<NetRequest> nets;
-    std::vector<RoutedPath> paths;
-    std::vector<double> history;
-    double present_factor = 0.0;
     result.negotiation = diagnose_negotiation(
-        *state.artifacts, state.exec.tech, result.trace, state.job.options,
-        state.job.warm.get(), &nets, &paths, &history, &present_factor);
-    result.warm_hits = result.negotiation->warm_kept;
-    result.nets_rerouted =
-        result.negotiation->nets - result.negotiation->warm_kept;
-    if (state.job.cache_result && result.negotiation->converged) {
-      auto cached = std::make_shared<CachedMapResult>();
-      cached->result = result;
-      cached->nets = std::move(nets);
-      cached->paths = std::move(paths);
-      cached->route_history = std::move(history);
-      cached->route_present_factor = present_factor;
-      cached->converged = true;
-      result_cache_.insert(result_key(*state.job.program, state.artifacts->fabric,
-                                      state.job.options),
-                           std::move(cached));
-    }
+        *state.artifacts, state.exec.tech, result.trace, state.job.options);
   }
   return result;
 }

@@ -27,6 +27,9 @@
 //                         busy across job boundaries. Per-job failures stay
 //                         per-job: a throwing trial poisons only its own
 //                         finish(), never the engine or its neighbours.
+//
+// The engine keeps no mapped results: every map()/finish() runs the job.
+// Result reuse is the caller's policy, keyed by result_key().
 #pragma once
 
 #include <memory>
@@ -57,19 +60,6 @@ struct MapJob {
   MapperOptions options;
   std::string name;
   CancelToken cancel;
-
-  /// Optional warm-start prior (incremental remapping): when set,
-  /// negotiation_report is on, and the prior converged, the negotiation
-  /// diagnostic seeds from the prior's routed nets (WarmStartSeed) instead
-  /// of routing cold — unchanged nets keep their paths, only the delta is
-  /// searched. Placement and scheduling are unaffected (same determinism
-  /// contract); a null / non-converged prior is exactly a cold job.
-  std::shared_ptr<const CachedMapResult> warm;
-  /// Insert the finished result (with its negotiated nets/paths) into the
-  /// engine's ResultCache when the negotiation diagnostic ran and
-  /// converged. Off by default so batch flows keep their memory profile;
-  /// the serve session path and the incremental bench opt in.
-  bool cache_result = false;
 };
 
 class MappingEngine {
@@ -87,10 +77,10 @@ class MappingEngine {
   [[nodiscard]] int worker_count() const;
   [[nodiscard]] Executor& executor();
   [[nodiscard]] FabricArtifactCache& artifacts();
-  /// Program-level result cache (exact-resubmission hits + warm priors).
-  /// Lookups are never transparent: map()/finish() only *insert* (and only
-  /// for jobs with cache_result set) — callers decide when a cached result
-  /// may substitute for a fresh mapping via result_key()/results().find().
+  /// An engine-wide ResultCache that the engine itself never fills or
+  /// consults: map()/finish() always map. Callers that reuse results keep
+  /// their own ResultCache under result_key() (qspr_serve keeps one per
+  /// session).
   [[nodiscard]] ResultCache& results();
   /// The cache key of (program, fabric, options) — canonical program
   /// fingerprint + fabric layout fingerprint + contractual options
@@ -98,8 +88,7 @@ class MappingEngine {
   [[nodiscard]] static ResultCache::Key result_key(const Program& program,
                                                    const Fabric& fabric,
                                                    const MapperOptions& options);
-  /// One budget for both engine caches (artifacts + results), split evenly.
-  /// 0 = unlimited.
+  /// Memory budget of the fabric-artifact cache. 0 = unlimited.
   void set_cache_budget_bytes(std::size_t budget);
 
   /// A job staged by begin(): setup done, placement trials in flight on the

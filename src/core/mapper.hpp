@@ -97,12 +97,6 @@ struct NegotiationDiagnostics {
   double heuristic_weight = 1.0;
   int alt_refreshes = 0;
   long long nodes_settled = 0;
-  /// Warm-start observability (engine incremental remapping): nets that
-  /// entered the negotiation pre-routed from a prior result, and how many
-  /// of those survived to convergence untouched. 0/0 on cold runs; part of
-  /// the bit-identity contract.
-  int warm_seeded = 0;
-  int warm_kept = 0;
 };
 
 struct MapResult {
@@ -137,12 +131,6 @@ struct MapResult {
   /// Present when MapperOptions::negotiation_report was set (and the flow
   /// produced a trace to diagnose).
   std::optional<NegotiationDiagnostics> negotiation;
-  /// Incremental-remapping observability. `warm_hits` counts negotiated nets
-  /// served from a warm seed without a single re-route (the whole net count
-  /// on an exact result-cache hit); `nets_rerouted` counts the nets the
-  /// negotiation actually searched. Cold mappings report 0 / all-nets.
-  int warm_hits = 0;
-  int nets_rerouted = 0;
 };
 
 /// Maps `program` onto `fabric`. Throws ValidationError / SimulationError on

@@ -115,13 +115,6 @@ std::size_t CachedMapResult::memory_bytes() const {
   std::size_t bytes = sizeof(CachedMapResult);
   bytes += result.trace.size() * sizeof(MicroOp);
   bytes += result.timings.size() * sizeof(InstructionTiming);
-  bytes += nets.size() * sizeof(NetRequest);
-  bytes += route_history.size() * sizeof(double);
-  for (const RoutedPath& path : paths) {
-    bytes += sizeof(RoutedPath) + path.nodes.size() * sizeof(RouteNodeId) +
-             path.steps.size() * sizeof(PathStep) +
-             path.resource_uses.size() * sizeof(ResourceUse);
-  }
   return bytes;
 }
 

@@ -1,30 +1,24 @@
-// Program-level mapping result cache: the second half of the warm-start
-// story (beside FabricArtifactCache, which shares per-fabric structures).
+// Program-level mapping result cache, keyed so that a hit returns exactly
+// the MapResult a fresh mapping would compute.
 //
-// A service absorbing interactive traffic sees near-duplicate circuits —
-// resubmissions, and incremental edits against an open session. The cache
-// keys on a canonical QIDG fingerprint of the program (order-independent
+// The key is a canonical QIDG fingerprint of the program (order-independent
 // where the program is: two textual orderings of the same interaction
 // structure hash identically), the fabric-layout fingerprint, and a
 // fingerprint of the *contractual* mapper options — the knobs that change
 // the mapped result, deliberately excluding jobs, which is
-// bit-identity-neutral by the determinism contract.
-//
-// Each entry carries the MapResult plus the negotiated net list and routed
-// paths of its diagnostic batch, so an edited successor circuit can seed
-// route_nets_negotiated (WarmStartSeed) from the prior instead of routing
-// cold. Exact resubmission is a pure hit: no placement, no routing.
+// bit-identity-neutral by the determinism contract. qspr_serve gives each
+// session one of these caches: an exact resubmission, or an undo back to an
+// earlier circuit of the session, is answered from it without placement
+// or routing.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "circuit/program.hpp"
 #include "core/mapper.hpp"
-#include "route/pathfinder.hpp"
 
 namespace qspr {
 
@@ -45,23 +39,11 @@ namespace qspr {
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 
-/// A finished mapping plus the negotiated routing state a successor can warm
-/// from. `nets`/`paths` are the parallel vectors of the negotiation
-/// diagnostic batch (empty when the job ran without negotiation_report);
-/// `converged` gates seeding — only a converged prior leaves clean
-/// occupancy worth keeping.
+/// One cached mapping.
 struct CachedMapResult {
   MapResult result;
-  std::vector<NetRequest> nets;
-  std::vector<RoutedPath> paths;
-  /// Prior negotiation state (ledger history table and final present
-  /// factor) carried into the successor's WarmStartSeed — paths alone are
-  /// unstable under edits (see WarmStartSeed).
-  std::vector<double> route_history;
-  double route_present_factor = 0.0;
-  bool converged = false;
 
-  /// Estimated resident bytes (trace, timings, nets, paths).
+  /// Estimated resident bytes (trace, timings).
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 

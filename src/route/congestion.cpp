@@ -67,16 +67,6 @@ void CongestionLedger::mark_structural(
   for (const std::uint32_t index : indices) structural_[index] = 1;
 }
 
-void CongestionLedger::seed_history(const std::vector<double>& history) {
-  require(history.size() == history_.size(),
-          "history seed size does not match the resource table");
-  history_ = history;
-  max_history_ = 0.0;
-  for (const double value : history_) {
-    max_history_ = std::max(max_history_, value);
-  }
-}
-
 CongestionLedger::OveruseSummary CongestionLedger::charge_history(
     double history_increment) {
   OveruseSummary summary;

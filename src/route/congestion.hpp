@@ -78,21 +78,6 @@ class CongestionLedger {
   /// in charge_history, O(delta set).
   [[nodiscard]] double max_history() const { return max_history_; }
 
-  /// The whole history table, in dense resource order. Exported into a
-  /// warm-start seed so a follow-up negotiation resumes the prior run's
-  /// equilibrium pressure instead of replaying the whole fight from
-  /// iteration 1 (a converged solution is only an equilibrium *under its
-  /// history*: re-routing any net without it reverts to greedy shortest
-  /// paths and the cascade destroys the seed).
-  [[nodiscard]] const std::vector<double>& history_table() const {
-    return history_;
-  }
-
-  /// Seeds the history table from a prior run's history_table() export and
-  /// recomputes max_history. Call before the first negotiation iteration;
-  /// a size mismatch (different fabric) is rejected by the caller.
-  void seed_history(const std::vector<double>& history);
-
   [[nodiscard]] bool is_overused(std::size_t index) const {
     return overused_pos_[index] >= 0;
   }

@@ -548,55 +548,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   std::vector<std::uint8_t>& dirty = scratch.net_dirty;
   dirty.assign(nets.size(), 1);  // every net routes in iteration 1
 
-  // --- warm start: seed prior paths, dirty-list only the delta ------------
-  // Seeded nets enter pre-routed (occupancy acquired before iteration 1)
-  // and come off the worklist; a second pass re-dirties any seeded net whose
-  // path crosses a resource that is over-used under the *combined* seed
-  // occupancy (its congestion neighbourhood changed). Seeding requires the
-  // dirty worklist, so the seed is ignored without partial_ripup.
-  const WarmStartSeed* warm =
-      (options.warm != nullptr && options.partial_ripup &&
-       options.warm->paths.size() == nets.size())
-          ? options.warm
-          : nullptr;
-  std::vector<std::uint8_t> warm_kept_flags;
-  if (warm != nullptr) {
-    // Resume the prior equilibrium's pricing: without its history the
-    // dirtied delta re-routes against iteration-1 costs, undercuts the
-    // corridors the prior negotiation priced it out of, and the over-use
-    // cascade rips up the whole seed (see WarmStartSeed).
-    if (warm->history.size() == ledger.size()) {
-      ledger.seed_history(warm->history);
-    }
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      const RoutedPath& seed = warm->paths[i];
-      if (seed.nodes.empty() || nets[i].from == nets[i].to) continue;
-      if (seed.nodes.front() != graph.trap_node(nets[i].from) ||
-          seed.nodes.back() != graph.trap_node(nets[i].to)) {
-        continue;  // endpoints changed: this net routes cold
-      }
-      result.paths[i] = seed;
-      collect_resources(result.paths[i], ledger, membership,
-                        net_resources[i]);
-      for (const std::uint32_t index : net_resources[i]) {
-        ledger.acquire(index);
-      }
-      dirty[i] = 0;
-      ++result.warm_seeded;
-    }
-    warm_kept_flags.assign(nets.size(), 0);
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      if (dirty[i]) continue;
-      warm_kept_flags[i] = 1;
-      for (const std::uint32_t index : net_resources[i]) {
-        if (ledger.is_overused(index)) {
-          dirty[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-
   if (options.adaptive_schedule) {
     std::vector<std::uint32_t> structural;
     result.min_feasible_excess = structural_excess_floor(
@@ -647,23 +598,10 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     result.landmarks_used = alt_base->k();
   }
   double present_factor = options.present_factor;
-  if (warm != nullptr) {
-    // Start the schedule where the prior run left off: re-annealing from
-    // iteration-1 pricing would let the dirtied delta over-subscribe freely
-    // for several iterations, destabilising the seeded equilibrium.
-    present_factor = std::max(present_factor, warm->present_factor);
-  }
   double history_increment = options.history_increment;
   // Fewest over-used resources seen so far; partial rip-up escalates to a
-  // full sweep when iterations fail to improve on it. A cold run escalates
-  // on the first stall (the original schedule, kept bit-identical); a warm
-  // run gets several stalled iterations of patience first — it starts from
-  // a near-converged state where one wobbling corridor trips the stall test
-  // immediately, and a full sweep there rips up the entire seed to fix a
-  // two-resource conflict that local negotiation resolves on its own.
+  // full sweep when an iteration fails to improve on it.
   int best_overused = std::numeric_limits<int>::max();
-  int ripup_stalls = 0;
-  const int ripup_stall_limit = warm != nullptr ? 4 : 1;
   // Stagnation detector: consecutive iterations without any reduction of the
   // total capacity excess.
   int best_excess = std::numeric_limits<int>::max();
@@ -711,9 +649,8 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     // re-routed against the *other* nets' present congestion plus the
     // history costs, and re-inserted. With partial_ripup off every net is
     // dirty every iteration (the original full-sweep PathFinder loop). The
-    // rip is unconditional: at a cold iteration 1 every occupancy set is
-    // empty (a no-op), and a warm-seeded net that re-entered the worklist
-    // must release its seed.
+    // rip is unconditional: at iteration 1 every occupancy set is empty (a
+    // no-op).
     for (std::size_t i = 0; i < nets.size(); ++i) {
       if (!dirty[i]) continue;
       for (const std::uint32_t index : net_resources[i]) {
@@ -721,7 +658,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
         if (optimized) weights.refresh_resource(ledger, index);
       }
       ++result.searches_performed;
-      if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
 
       bool routed = false;
       if (optimized) {
@@ -819,28 +755,12 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
       }
     }
     if (options.partial_ripup) {
-      const bool stalled = summary.overused >= best_overused;
-      ripup_stalls = stalled ? ripup_stalls + 1 : 0;
-      if (ripup_stalls >= ripup_stall_limit) {
+      if (summary.overused >= best_overused) {
         // Stagnation: the dirty subset is ping-ponging among the contested
         // corridors while clean nets pin the alternatives. Escalate to one
         // full rip-up sweep so the whole net set renegotiates, then resume
         // partial sweeps.
         std::fill(dirty.begin(), dirty.end(), std::uint8_t{1});
-        ripup_stalls = 0;
-      } else if (stalled) {
-        // Stalled but under the patience limit (warm runs only): keep the
-        // worklist local — nets crossing negotiable over-used resources —
-        // and let the charged history break the tie.
-        for (std::size_t i = 0; i < nets.size(); ++i) {
-          dirty[i] = 0;
-          for (const std::uint32_t index : net_resources[i]) {
-            if (ledger.is_overused(index) && !ledger.is_structural(index)) {
-              dirty[i] = 1;
-              break;
-            }
-          }
-        }
       } else {
         // Next iteration's worklist: exactly the nets whose current path
         // crosses a *negotiable* over-subscribed resource. Structural
@@ -871,66 +791,11 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     }
   }
 
-  if (warm != nullptr && !result.converged) {
-    // The warm attempt dug in without converging: the edit shifted the
-    // equilibrium beyond what local renegotiation absorbs (the seeded
-    // history now mostly mis-prices the new instance). Restart cold — the
-    // recursive run is bit-identical to a never-seeded call — and surface
-    // the abandoned attempt's cost in the counters instead of hiding it.
-    PathFinderOptions cold_options = options;
-    cold_options.warm = nullptr;
-    PathFinderResult cold =
-        route_nets_negotiated(graph, params, nets, cold_options, scratch);
-    cold.searches_performed += result.searches_performed;
-    cold.nodes_settled += result.nodes_settled;
-    cold.iterations_used += result.iterations_used;
-    cold.alt_refreshes += result.alt_refreshes;
-    cold.warm_seeded = result.warm_seeded;
-    cold.warm_kept = 0;
-    cold.warm_restarted = true;
-    return cold;
-  }
-
   result.total_delay = 0;
   for (const RoutedPath& path : result.paths) {
     result.total_delay += path.total_delay();
   }
-  for (const std::uint8_t kept : warm_kept_flags) {
-    result.warm_kept += kept;
-  }
-  // Export the negotiation state a future warm start needs to resume this
-  // equilibrium. Convergence and the adaptive breaks leave the loop before
-  // the schedule step, so present_factor holds the final iteration's value
-  // (an exhausted iteration cap leaves it one step ahead, which only firms
-  // the next warm start).
-  result.history = ledger.history_table();
-  result.final_present_factor = present_factor;
   return result;
-}
-
-WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
-                             const std::vector<RoutedPath>& prior_paths,
-                             const std::vector<NetRequest>& nets,
-                             std::vector<double> prior_history,
-                             double prior_present_factor) {
-  WarmStartSeed seed;
-  seed.history = std::move(prior_history);
-  seed.present_factor = prior_present_factor;
-  seed.paths.resize(nets.size());
-  if (prior_nets.size() != prior_paths.size()) return seed;
-  std::vector<std::uint8_t> claimed(prior_nets.size(), 0);
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    for (std::size_t j = 0; j < prior_nets.size(); ++j) {
-      if (claimed[j] || prior_nets[j].from != nets[i].from ||
-          prior_nets[j].to != nets[i].to) {
-        continue;
-      }
-      seed.paths[i] = prior_paths[j];
-      claimed[j] = 1;
-      break;
-    }
-  }
-  return seed;
 }
 
 PathFinderResult route_nets_negotiated(const RoutingGraph& graph,

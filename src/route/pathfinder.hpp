@@ -43,55 +43,6 @@ struct NetRequest {
   TrapId to;
 };
 
-/// Warm-start seed for incremental remapping: one prior RoutedPath per net
-/// (aligned to the nets vector; an empty path means "route this net cold").
-/// Seeded nets enter the negotiation pre-routed — their occupancy is
-/// acquired before iteration 1 — and only nets whose endpoints changed or
-/// whose congestion neighbourhood is over-used under the combined seed
-/// occupancy go on the dirty worklist. Seeding from a *converged* prior of
-/// the same net set yields bit-identical paths with zero searches (the
-/// empty-edit identity the incremental_remap bench asserts). Paths must
-/// come from the same routing graph; endpoint mismatches are detected and
-/// those nets simply route cold.
-///
-/// Paths alone are NOT enough for a stable warm start on edits: a converged
-/// solution is only an equilibrium *under the history costs that produced
-/// it*. Re-routing even one net against a fresh ledger (zero history,
-/// iteration-1 present factor) sends it through the greedy corridors the
-/// prior negotiation priced it out of, the over-use cascades through the
-/// seeded nets, and the run either renegotiates everything from scratch or
-/// trips the stagnation detector. `history` (the prior ledger's
-/// history_table() export) and `present_factor` (the prior run's final
-/// schedule position) restore that pricing, so a small edit perturbs only
-/// its own congestion neighbourhood. Both are optional: an empty history or
-/// zero present factor falls back to cold pricing (and on an empty edit the
-/// dirty worklist is empty, so they are never consulted — the d=0
-/// bit-identity holds either way).
-struct WarmStartSeed {
-  std::vector<RoutedPath> paths;
-  /// Prior ledger history, dense resource order (PathFinderResult::history).
-  /// Ignored unless its size matches the graph's resource table.
-  std::vector<double> history;
-  /// Present factor of the prior run's final iteration
-  /// (PathFinderResult::final_present_factor). The warm negotiation starts
-  /// at max(options.present_factor, this), keeping the schedule where the
-  /// prior left off instead of re-annealing from iteration 1.
-  double present_factor = 0.0;
-};
-
-/// Aligns a prior negotiation's paths to a new net list by greedy endpoint
-/// matching: each new net takes the first unclaimed prior path with the same
-/// (from, to); unmatched nets get empty (cold) seeds. Prior nets and paths
-/// must be parallel vectors from one route_nets_negotiated call. Pass the
-/// prior result's `history` and `final_present_factor` to carry the
-/// negotiation state as well (see WarmStartSeed) — omitting them seeds paths
-/// only, which is unstable under non-empty edits.
-WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
-                             const std::vector<RoutedPath>& prior_paths,
-                             const std::vector<NetRequest>& nets,
-                             std::vector<double> prior_history = {},
-                             double prior_present_factor = 0.0);
-
 /// Inner shortest-path engine of the negotiation loop.
 enum class PathFinderEngine : std::uint8_t {
   /// Plain Dijkstra allocating its search state per query. Kept as the
@@ -189,15 +140,6 @@ struct PathFinderOptions {
 
   /// Unread (the negotiation is serial); kept so callers that set it build.
   int route_jobs = 1;
-
-  // --- warm start (incremental remapping) ---
-
-  /// Prior paths to seed the negotiation from, borrowed for the duration of
-  /// the call (see WarmStartSeed). Ignored when null, when the seed is not
-  /// aligned to the nets vector, or when partial_ripup is off — without the
-  /// dirty worklist every net re-routes anyway and a partial seed would
-  /// perturb iteration 1's acquire order relative to the cold run.
-  const WarmStartSeed* warm = nullptr;
 };
 
 struct PathFinderResult {
@@ -224,28 +166,6 @@ struct PathFinderResult {
   int alt_refreshes = 0;
   /// Echo of options.heuristic_weight (1.0 = exact search).
   double heuristic_weight = 1.0;
-
-  // --- warm-start observability (0 on cold runs; deterministic for a
-  // --- fixed seed) ---
-
-  /// Nets that entered the negotiation pre-routed from the warm seed.
-  int warm_seeded = 0;
-  /// Seeded nets whose prior path survived the whole negotiation untouched
-  /// (never ripped up and re-searched). warm_kept == warm_seeded == nets on
-  /// an empty edit against a converged prior.
-  int warm_kept = 0;
-  /// True when the warm attempt failed to converge and the negotiation was
-  /// restarted cold (see route_nets_negotiated). The returned paths are then
-  /// bit-identical to a cold run's; searches_performed and iterations_used
-  /// include the abandoned attempt, so the wasted work stays visible.
-  bool warm_restarted = false;
-  /// Final history table of the run's ledger (dense resource order) — feed
-  /// it into the next WarmStartSeed to resume this negotiation's equilibrium
-  /// pressure. Always populated (cold runs too; size == resource count).
-  std::vector<double> history;
-  /// Present factor of the final iteration actually run; pairs with
-  /// `history` in the next WarmStartSeed.
-  double final_present_factor = 0.0;
 };
 
 /// Per-node negotiated move weights of the optimized engine, kept in sync
@@ -299,14 +219,6 @@ struct PathFinderScratch {
 /// Routes all nets with negotiated congestion. Nets with from == to receive
 /// empty paths. Throws RoutingError when some net has no route at all
 /// (disconnected fabric).
-///
-/// Warm-start robustness: a warm-seeded negotiation that fails to converge
-/// is restarted cold once (warm_restarted in the result), so seeding can
-/// slow a pathological edit down but never costs convergence — a warm run
-/// converges whenever the cold run would. Near a converged prior the
-/// fallback never fires; it exists for edits that shift the equilibrium
-/// globally (e.g. on a saturated fabric), where no local negotiation can
-/// absorb the delta.
 PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const TechnologyParams& params,
                                        const std::vector<NetRequest>& nets,

@@ -167,6 +167,9 @@ ServeMetrics::Snapshot ServeMetrics::snapshot() const {
     snap.health_probes = counters_.health_probes;
     snap.connections_opened = counters_.connections_opened;
     snap.connections_failed = counters_.connections_failed;
+    snap.result_hits = counters_.result_hits;
+    snap.result_misses = counters_.result_misses;
+    snap.result_insertions = counters_.result_insertions;
     snap.in_flight = in_flight_;
     snap.setup_ms_total = setup_ms_total_;
     snap.nodes_settled_total = nodes_settled_total_;

@@ -27,20 +27,23 @@
 
 namespace qspr {
 
-/// Server-scoped incremental-remapping session (the `session_open` API).
+/// Server-scoped session (the `session_open` API).
 /// Ownership split: the poll thread owns the registry and the `busy` flag
-/// (one in-flight map per session); the circuit text and warm prior are
-/// written only by the mapper thread running the session's admitted map and
-/// read by the poll thread after its completion is delivered — the admission
-/// queue and completion queue mutexes order those hand-offs, so the fields
-/// themselves need no lock.
+/// (one in-flight map per session); the circuit text is written only by the
+/// mapper thread running the session's admitted map and read by the poll
+/// thread after its completion is delivered — the admission queue and
+/// completion queue mutexes order those hand-offs, so the field needs no
+/// lock. `results` is internally synchronised.
 struct ServeSession {
   std::string name;    ///< wire id ("s<N>")
   std::string fabric;  ///< fabric spec, fixed at session_open
   /// Full QASM text of the circuit after the last successful map.
   std::string qasm;
-  /// Last converged mapping: the warm-start seed for the next edit.
-  std::shared_ptr<const CachedMapResult> prior;
+  /// Every result this session mapped, keyed by MappingEngine::result_key:
+  /// a later map of the same circuit, fabric and options (an exact
+  /// resubmission, or an undo to an earlier circuit) is answered from it.
+  /// Freed with the session, so it needs no budget.
+  ResultCache results;
   /// Poll-thread-only: a map for this session is queued or running.
   bool busy = false;
 };
@@ -184,6 +187,10 @@ class ServeMetrics {
     long long health_probes = 0;  // queue-bypassing liveness checks answered
     long long connections_opened = 0;
     long long connections_failed = 0;  // closed for cause (oversize, slow, io)
+    /// Session result-cache lookups that hit / missed, and results stored.
+    long long result_hits = 0;
+    long long result_misses = 0;
+    long long result_insertions = 0;
     int in_flight = 0;
     double p50_trial_cpu_ms = 0.0;
     double p99_trial_cpu_ms = 0.0;
@@ -205,6 +212,9 @@ class ServeMetrics {
   void count_health_probe() { bump(&Counters::health_probes); }
   void count_connection_opened() { bump(&Counters::connections_opened); }
   void count_connection_failed() { bump(&Counters::connections_failed); }
+  void count_result_hit() { bump(&Counters::result_hits); }
+  void count_result_miss() { bump(&Counters::result_misses); }
+  void count_result_insertion() { bump(&Counters::result_insertions); }
 
   void enter_flight();
   void leave_flight();
@@ -233,6 +243,9 @@ class ServeMetrics {
     long long health_probes = 0;
     long long connections_opened = 0;
     long long connections_failed = 0;
+    long long result_hits = 0;
+    long long result_misses = 0;
+    long long result_insertions = 0;
   };
 
   void bump(long long Counters::* counter);

@@ -184,7 +184,8 @@ ServeRequest parse_serve_request(std::string_view frame,
   }
   // Search-quality knobs of the negotiation diagnostic (absent = the
   // service defaults): ALT landmark count and the bounded-suboptimality
-  // weight (1.0 keeps the exact search).
+  // weight (1.0 keeps the exact search). The daemon never runs the
+  // diagnostic, so they only enter the options fingerprint.
   if (root.find("landmarks") != nullptr) {
     request.options.route_landmarks = static_cast<int>(
         number_field(root, "landmarks", 0.0, 0.0, 1024.0));
@@ -252,8 +253,6 @@ std::string serve_result_json(const std::string& id, const MapResult& result,
   json.field("nodes_settled", result.stats.nodes_settled);
   json.field("queue_ms", queue_ms);
   json.field("map_ms", map_ms);
-  json.field("warm_hits", result.warm_hits);
-  json.field("nets_rerouted", result.nets_rerouted);
   json.field("result_fp", map_result_fingerprint(result));
   json.end_object();
   return json.str();

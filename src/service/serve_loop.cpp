@@ -160,26 +160,24 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     ServeSession* session = ticket.session.get();
     const std::string session_name = session != nullptr ? session->name : "";
 
-    // Session fast path: an exact resubmission (same circuit, fabric,
-    // options) is served straight from the program-level result cache —
-    // no placement, no routing. Stateless maps never consult the cache, so
-    // their behaviour (and memory profile) is unchanged.
+    // A session answers a map from its own results when it mapped the same
+    // circuit, fabric and options before: an exact resubmission, or an undo
+    // back to an earlier circuit. Stateless maps never consult a cache.
+    ResultCache::Key key;
     if (session != nullptr) {
-      const ResultCache::Key key =
-          MappingEngine::result_key(program, *fabric, ticket.request.options);
-      if (std::shared_ptr<const CachedMapResult> cached =
-              engine_.results().find(key)) {
-        MapResult result = cached->result;
-        result.warm_hits = static_cast<int>(cached->nets.size());
-        result.nets_rerouted = 0;
+      key = MappingEngine::result_key(program, *fabric, ticket.request.options);
+      if (const std::shared_ptr<const CachedMapResult> cached =
+              session->results.find(key)) {
+        metrics_.count_result_hit();
         session->qasm = ticket.request.qasm;
-        session->prior = cached;
         const double map_ms =
             ms_between(started, std::chrono::steady_clock::now());
         metrics_.count_completed();
         retry_estimator_.observe_request_ms(map_ms);
-        return serve_result_json(id, result, queue_ms, map_ms, session_name);
+        return serve_result_json(id, cached->result, queue_ms, map_ms,
+                                 session_name);
       }
+      metrics_.count_result_miss();
     }
 
     MapJob job;
@@ -188,18 +186,13 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     job.options = ticket.request.options;
     job.name = id;
     job.cancel = token;
+    auto mapped = std::make_shared<CachedMapResult>();
+    mapped->result = engine_.finish(engine_.begin(job));
+    const MapResult& result = mapped->result;
     if (session != nullptr) {
-      job.warm = session->prior;
-      job.cache_result = true;
-    }
-    MapResult result = engine_.finish(engine_.begin(job));
-    if (session != nullptr) {
-      // Remember the circuit and (when the negotiation converged) the
-      // cached prior the next edit warms from. finish() inserted it under
-      // the same key this thread computes.
       session->qasm = ticket.request.qasm;
-      session->prior = engine_.results().find(
-          MappingEngine::result_key(program, *fabric, job.options));
+      session->results.insert(key, mapped);
+      metrics_.count_result_insertion();
     }
     const double map_ms =
         ms_between(started, std::chrono::steady_clock::now());
@@ -547,9 +540,6 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
     }
     // The session pins the fabric; per-request fabric is ignored inside it.
     request.fabric = session->fabric;
-    // Warm-start seeding and the result cache live behind the negotiation
-    // diagnostic, so session maps always run it.
-    request.options.negotiation_report = true;
   }
   if (request.fabric.empty()) request.fabric = options_.default_fabric;
 
@@ -691,24 +681,13 @@ std::string MappingServer::stats_json(const std::string& id) {
                          : 0.0);
   json.field("artifact_evictions", cache.evictions);
   json.field("artifact_bytes", static_cast<long long>(cache.bytes));
-  // Program-level result cache (warm-start sessions): hit/eviction and
-  // resident-byte counters, so an operator can see both halves of the
-  // --cache-budget-mb budget working.
-  const ResultCache::Stats results = engine_.results().stats();
-  json.field("result_hits", results.hits);
-  json.field("result_misses", results.misses);
-  json.field("result_insertions", results.insertions);
-  json.field("result_evictions", results.evictions);
-  json.field("result_bytes", static_cast<long long>(results.bytes));
-  json.field("result_entries", static_cast<long long>(results.entries));
+  // Session result caches, summed over every session the daemon served.
+  json.field("result_hits", snap.result_hits);
+  json.field("result_misses", snap.result_misses);
+  json.field("result_insertions", snap.result_insertions);
   json.field("cache_budget_bytes",
              static_cast<long long>(options_.cache_budget_bytes));
   json.field("open_sessions", static_cast<long long>(sessions_.size()));
-  // ALT landmark tables built/reused across the cached fabrics (reporting
-  // requests trigger the build; builds stay at one per distinct fabric).
-  const LandmarkCacheStats landmarks = engine_.artifacts().landmark_stats();
-  json.field("landmark_builds", landmarks.builds);
-  json.field("landmark_hits", landmarks.hits);
   json.field("p50_trial_cpu_ms", snap.p50_trial_cpu_ms);
   json.field("p99_trial_cpu_ms", snap.p99_trial_cpu_ms);
   json.field("latency_samples", snap.latency_samples);

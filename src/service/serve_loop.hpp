@@ -72,9 +72,10 @@ struct ServeOptions {
   /// Fabric spec used when a request names none ("" = paper fabric).
   std::string default_fabric;
   MapperOptions default_options;
-  /// Combined memory budget for the engine's fabric-artifact and
-  /// program-result caches (split evenly; 0 = unlimited). Surfaced on the
-  /// qspr_serve CLI as --cache-budget-mb; evictions show up in `stats`.
+  /// LRU memory budget for the engine's fabric-artifact cache (0 =
+  /// unlimited). Surfaced on the qspr_serve CLI as --cache-budget-mb;
+  /// evictions show up in `stats`. Session result caches are not budgeted:
+  /// they are freed with their session.
   std::size_t cache_budget_bytes = 0;
   /// Test hook: when set, admitted maps block at the gate before mapping
   /// (see MapStartGate). Never set in production.

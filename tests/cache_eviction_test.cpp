@@ -1,6 +1,5 @@
-// LRU memory-budget enforcement of the two warm-start caches: the
-// per-fabric artifact cache and the program-level result cache. Both follow
-// the same contract: set_budget_bytes(0) is unlimited, eviction is
+// LRU memory-budget enforcement of the per-fabric artifact cache and the
+// program-level result cache. Both follow the same contract: set_budget_bytes(0) is unlimited, eviction is
 // least-recently-used, and the entry the current operation returns/inserts
 // is never evicted (a budget smaller than one entry degrades to a cache of
 // one, not thrash-to-empty).
@@ -9,6 +8,7 @@
 #include <memory>
 
 #include "core/artifact_cache.hpp"
+#include "core/engine.hpp"
 #include "core/result_cache.hpp"
 #include "fabric/quale_fabric.hpp"
 
@@ -74,12 +74,24 @@ TEST(FabricArtifactCacheTest, EvictedBundleSurvivesThroughHeldReference) {
   EXPECT_EQ(held->landmark_tables(6.0, 1.0, 2).get(), tables.get());
 }
 
+TEST(FabricArtifactCacheTest, EngineBudgetGoesWholeToArtifacts) {
+  // The engine's only budgeted cache is the artifact cache, so it gets the
+  // whole budget: two bundles that fit it exactly both stay.
+  MappingEngine engine;
+  const std::size_t small =
+      engine.artifacts().get(make_quale_fabric({2, 2, 3}))->memory_bytes();
+  const std::size_t medium =
+      engine.artifacts().get(make_quale_fabric({3, 3, 4}))->memory_bytes();
+  engine.set_cache_budget_bytes(small + medium);
+  EXPECT_EQ(engine.artifacts().stats().evictions, 0);
+  EXPECT_EQ(engine.artifacts().size(), 2u);
+}
+
 std::shared_ptr<const CachedMapResult> entry_of_bytes(std::size_t extra) {
   auto entry = std::make_shared<CachedMapResult>();
-  // route_history is counted by memory_bytes, so it makes a convenient
-  // size dial for eviction tests.
-  entry->route_history.assign(extra / sizeof(double), 0.0);
-  entry->converged = true;
+  // Timings are counted by memory_bytes, so they make a convenient size
+  // dial for eviction tests.
+  entry->result.timings.resize(extra / sizeof(InstructionTiming));
   return entry;
 }
 
@@ -140,15 +152,6 @@ TEST(ResultCacheTest, ZeroBudgetIsUnlimited) {
   }
   EXPECT_EQ(cache.size(), 16u);
   EXPECT_EQ(cache.stats().evictions, 0);
-}
-
-TEST(ResultCacheTest, MemoryBytesCountsNegotiationState) {
-  // The warm-start negotiation state rides in every cached result; the
-  // budget must see it or a history-heavy cache blows past its cap.
-  const auto lean = entry_of_bytes(0);
-  const auto heavy = entry_of_bytes(1 << 16);
-  EXPECT_GE(heavy->memory_bytes(),
-            lean->memory_bytes() + (std::size_t{1} << 16));
 }
 
 }  // namespace

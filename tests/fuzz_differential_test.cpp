@@ -18,7 +18,6 @@
 #include "core/mapper.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/random_circuit.hpp"
-#include "route/pathfinder.hpp"
 #include "service/batch_mapper.hpp"
 #include "sim/trace_validator.hpp"
 
@@ -180,74 +179,6 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
     expect_legal(cases[c], fabrics[cases[c].fabric], result.records[c].result,
                  label);
     expect_identical(serial[c], result.records[c].result, label);
-  }
-}
-
-TEST(FuzzDifferential, WarmStartIdentityOnSeededNetBatches) {
-  // Warm-start contract, fuzzed: seeding a negotiation from its own
-  // converged result (an empty edit) must reproduce the cold paths bit for
-  // bit with zero searches.
-  const std::vector<Fabric> fabrics = make_fabrics();
-  const TechnologyParams params;
-
-  for (int c = 0; c < 24; ++c) {
-    const Fabric& fabric = fabrics[static_cast<std::size_t>(c % 2)];
-    const RoutingGraph graph(fabric);
-    // Random net batch over random distinct traps.
-    Rng rng(4000 + static_cast<std::uint64_t>(c));
-    const auto traps = fabric.traps_by_distance(fabric.center());
-    std::vector<NetRequest> nets;
-    for (int n = 0; n < 4 + c % 8; ++n) {
-      const TrapId from = traps[rng.uniform_index(traps.size())];
-      const TrapId to = traps[rng.uniform_index(traps.size())];
-      if (from != to) nets.push_back({from, to});
-    }
-    if (nets.empty()) continue;
-
-    PathFinderScratch scratch;
-    const PathFinderResult cold =
-        route_nets_negotiated(graph, params, nets, {}, scratch);
-    if (!cold.converged) continue;  // only converged priors seed
-
-    const WarmStartSeed seed = make_warm_seed(
-        nets, cold.paths, nets, cold.history, cold.final_present_factor);
-    PathFinderOptions warm_options;
-    warm_options.warm = &seed;
-    PathFinderScratch warm_scratch;
-    const PathFinderResult warm = route_nets_negotiated(
-        graph, params, nets, warm_options, warm_scratch);
-    const std::string label = "case" + std::to_string(c);
-    EXPECT_TRUE(warm.converged) << label;
-    EXPECT_EQ(warm.searches_performed, 0) << label;
-    EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
-    EXPECT_FALSE(warm.warm_restarted) << label;
-    EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
-    ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
-    for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-      EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
-          << label << "/net" << i;
-    }
-
-    // Perturbed edit: replace one net and require the robustness contract —
-    // the warm run converges wherever the cold run does (via the internal
-    // fallback when the edit shifts the equilibrium globally).
-    std::vector<NetRequest> edited = nets;
-    const TrapId from = traps[rng.uniform_index(traps.size())];
-    const TrapId to = traps[rng.uniform_index(traps.size())];
-    if (from == to) continue;
-    edited.back() = {from, to};
-    const PathFinderResult cold_edit =
-        route_nets_negotiated(graph, params, edited, {}, scratch);
-    const WarmStartSeed edit_seed = make_warm_seed(
-        nets, cold.paths, edited, cold.history, cold.final_present_factor);
-    PathFinderOptions edit_options;
-    edit_options.warm = &edit_seed;
-    PathFinderScratch edit_scratch;
-    const PathFinderResult warm_edit = route_nets_negotiated(
-        graph, params, edited, edit_options, edit_scratch);
-    if (cold_edit.converged) {
-      EXPECT_TRUE(warm_edit.converged) << "edit/case" << c;
-    }
   }
 }
 
