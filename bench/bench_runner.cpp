@@ -19,11 +19,10 @@
 // ns/rep (one whole negotiation — the number that multiplies through the
 // trial pipeline), searches actually performed (partial rip-up skips clean
 // nets), negotiation iterations, convergence and residual over-use. The
-// PathFinder suites run the optimized stack against the PR-1 baseline
-// configuration (reference Dijkstra engine, full rip-up, classic schedule),
-// so speedups are measured against live pre-optimization behaviour — never
-// against a number frozen in a doc. batch_throughput likewise measures the
-// batch service against a live sequential map_program loop.
+// PathFinder suites run the default negotiation loop, with ALT landmarks and
+// the bounded-suboptimal weight as the only varied knobs besides the
+// bidirectional search. batch_throughput measures the batch service against
+// a live sequential map_program loop.
 #include <signal.h>
 #include <unistd.h>
 
@@ -56,8 +55,7 @@ namespace {
 
 struct PathFinderSample {
   std::string name;
-  std::string engine;
-  std::string config;  // mechanism set: baseline | none | partial | ... | all
+  std::string config;  // all | alt* | grid_* (the varied knobs)
   int nets = 0;
   int repetitions = 0;
   double ns_per_query = 0.0;
@@ -70,26 +68,12 @@ struct PathFinderSample {
   int max_overuse = 0;
   int total_excess = 0;
   int min_feasible_excess = 0;
-  int alt_refreshes = 0;
   Duration total_delay = 0;
   /// Per-net final path delays, in net order — the bounded-suboptimality
   /// assertion compares these against the exact run's, net for net.
   std::vector<Duration> net_delays;
   PathFinderOptions options;
 };
-
-/// The PR-1 negotiation loop: reference Dijkstra engine, full rip-up every
-/// iteration, uncapped schedule — the live baseline every suite compares
-/// against.
-PathFinderOptions baseline_options() {
-  PathFinderOptions options;
-  options.engine = PathFinderEngine::ReferenceDijkstra;
-  options.partial_ripup = false;
-  options.adaptive_bound = false;
-  options.adaptive_schedule = false;
-  options.bidirectional = false;
-  return options;
-}
 
 std::vector<NetRequest> central_nets(const Fabric& fabric, int count,
                                      std::uint64_t seed) {
@@ -178,9 +162,6 @@ PathFinderSample run_pathfinder(const std::string& name,
   PathFinderSample sample;
   sample.name = name;
   sample.config = config;
-  sample.engine = options.engine == PathFinderEngine::AStarArena
-                      ? "astar_arena"
-                      : "reference_dijkstra";
   sample.nets = static_cast<int>(nets.size());
   sample.repetitions = repetitions;
   sample.options = options;
@@ -211,7 +192,6 @@ PathFinderSample run_pathfinder(const std::string& name,
   sample.max_overuse = result.max_overuse;
   sample.total_excess = result.total_excess;
   sample.min_feasible_excess = result.min_feasible_excess;
-  sample.alt_refreshes = result.alt_refreshes;
   sample.total_delay = result.total_delay;
   sample.net_delays.reserve(result.paths.size());
   for (const RoutedPath& path : result.paths) {
@@ -223,7 +203,6 @@ PathFinderSample run_pathfinder(const std::string& name,
 void write_sample(JsonWriter& json, const PathFinderSample& sample) {
   json.begin_object()
       .field("name", sample.name)
-      .field("engine", sample.engine)
       .field("config", sample.config)
       .field("nets", sample.nets)
       .field("repetitions", sample.repetitions)
@@ -237,13 +216,9 @@ void write_sample(JsonWriter& json, const PathFinderSample& sample) {
       .field("max_overuse", sample.max_overuse)
       .field("total_excess", sample.total_excess)
       .field("min_feasible_excess", sample.min_feasible_excess)
-      .field("partial_ripup", sample.options.partial_ripup)
-      .field("adaptive_bound", sample.options.adaptive_bound)
-      .field("adaptive_schedule", sample.options.adaptive_schedule)
       .field("bidirectional", sample.options.bidirectional)
       .field("alt_landmarks", sample.options.alt_landmarks)
       .field("heuristic_weight", sample.options.heuristic_weight)
-      .field("alt_refreshes", sample.alt_refreshes)
       .field("total_delay_us", static_cast<long long>(sample.total_delay))
       .end_object();
 }
@@ -253,15 +228,14 @@ std::string speedup_cell(double baseline_ns, double ns) {
 }
 
 /// Perf-gate extractor over a *parsed* baseline BENCH_routing.json: the
-/// `ns_per_query` of the sample with the given name, engine and config,
-/// looked up across every gated suite array (pathfinder_runs, alt_longhaul
-/// and frontier_queue). Field order and formatting no
-/// longer matter (the shared JSON reader handles both), and a malformed
-/// baseline fails the gate loudly instead of silently matching nothing.
+/// `ns_per_query` of the sample with the given name and config, looked up
+/// across every gated suite array (pathfinder_runs, alt_longhaul and
+/// frontier_queue). Field order and formatting no longer matter (the shared
+/// JSON reader handles both), and a malformed baseline fails the gate
+/// loudly instead of silently matching nothing.
 /// Returns a negative value when the sample is absent.
 double baseline_ns_per_query(const JsonValue& baseline,
                              const std::string& name,
-                             const std::string& engine,
                              const std::string& config) {
   for (const char* suite :
        {"pathfinder_runs", "alt_longhaul", "frontier_queue"}) {
@@ -269,7 +243,6 @@ double baseline_ns_per_query(const JsonValue& baseline,
     if (runs == nullptr || !runs->is_array()) continue;
     for (const JsonValue& sample : runs->items()) {
       if (sample.string_or("name", "") == name &&
-          sample.string_or("engine", "") == engine &&
           sample.string_or("config", "") == config) {
         return sample.number_or("ns_per_query", -1.0);
       }
@@ -429,7 +402,6 @@ int main(int argc, char** argv) {
         .end_object();
     PathFinderSample gate_row;
     gate_row.name = "router_dijkstra";
-    gate_row.engine = "bucket";
     gate_row.config = "paper_45x85_mixed";
     gate_row.repetitions = reps;
     gate_row.ns_per_query = ns_per_query;
@@ -439,10 +411,8 @@ int main(int argc, char** argv) {
   }
 
   // --------------------------------------------------------- pathfinder ---
-  // Negotiated batch routing on the paper fabric: the full optimized stack
-  // (all mechanisms, default options) against the PR-1 baseline per load
-  // level. Two speedup columns: per nominal query (net x iteration) and per
-  // whole negotiation (the trial-pipeline number).
+  // Negotiated batch routing on the paper fabric with the default options,
+  // per load level.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
@@ -454,56 +424,37 @@ int main(int argc, char** argv) {
       return smoke ? (load <= 16 ? 30 : 2) : 25;
     };
 
-    TextTable table({"Nets", "Engine", "ns/query", "iters", "converged",
-                     "delay (us)", "q speedup", "rep speedup"});
-    std::vector<PathFinderSample> samples;
+    TextTable table({"Nets", "ns/query", "ns/rep", "iters", "converged",
+                     "delay (us)"});
+    json.key("pathfinder_runs").begin_array();
     for (const int load : loads) {
       const auto nets = central_nets(fabric, load, 11);
-      const std::string name = "pathfinder_" + std::to_string(load) + "nets";
-      const int reps = reps_for(load);
-      const PathFinderSample reference =
-          run_pathfinder(name, "baseline", graph, params, nets,
-                         baseline_options(), reps);
-      const PathFinderSample optimized = run_pathfinder(
-          name, "all", graph, params, nets, PathFinderOptions{}, reps);
-      table.add_row({std::to_string(load), reference.engine,
-                     format_fixed(reference.ns_per_query, 0),
-                     std::to_string(reference.iterations_used),
-                     reference.converged ? "yes" : "no",
-                     std::to_string(reference.total_delay), "1.00x",
-                     "1.00x"});
-      table.add_row({std::to_string(load), optimized.engine,
-                     format_fixed(optimized.ns_per_query, 0),
-                     std::to_string(optimized.iterations_used),
-                     optimized.converged ? "yes" : "no",
-                     std::to_string(optimized.total_delay),
-                     speedup_cell(reference.ns_per_query,
-                                  optimized.ns_per_query),
-                     speedup_cell(reference.ns_per_rep,
-                                  optimized.ns_per_rep)});
-      samples.push_back(reference);
-      samples.push_back(optimized);
-    }
-    std::cout << table.to_string();
-    json.key("pathfinder_runs").begin_array();
-    for (const PathFinderSample& sample : samples) {
+      const PathFinderSample sample = run_pathfinder(
+          "pathfinder_" + std::to_string(load) + "nets", "all", graph, params,
+          nets, PathFinderOptions{}, reps_for(load));
+      table.add_row({std::to_string(load),
+                     format_fixed(sample.ns_per_query, 0),
+                     format_fixed(sample.ns_per_rep, 0),
+                     std::to_string(sample.iterations_used),
+                     sample.converged ? "yes" : "no",
+                     std::to_string(sample.total_delay)});
       write_sample(json, sample);
       gated_samples.push_back(sample);
     }
     json.end_array();
+    std::cout << table.to_string();
   }
 
   // -------------------------------------------------- saturated overload ---
   // Heavy contention with distinct endpoints (structural floor 0): the
-  // regime where the classic loop burns its iteration cap. Each mechanism
-  // of the optimized stack is toggled individually so the ablation lands in
-  // the JSON next to the baseline and the all-on stack. The alt* rows record
-  // the landmark bound honestly: under saturation the searches are walled in
-  // by *present* congestion penalties (up to present_factor_max per unit of
-  // over-use) that no admissible precomputed table may anticipate, so ALT
-  // trims settled nodes by only a few percent while paying a per-node bound
-  // evaluation — the ablation shows the win lives in the weight knob here,
-  // and in the alt_longhaul suite below for the heuristic itself.
+  // regime where the classic loop burns its iteration cap. The default loop
+  // ("all") runs next to the landmark and weight variants. The alt* rows
+  // record the landmark bound honestly: under saturation the searches are
+  // walled in by *present* congestion penalties (the present factor climbs
+  // to 64 per unit of over-use) that no admissible precomputed table may
+  // anticipate, so ALT trims settled nodes by only a few percent while
+  // paying a per-node bound evaluation — the win lives in the weight knob
+  // here, and in the alt_longhaul suite below for the heuristic itself.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
@@ -518,29 +469,14 @@ int main(int argc, char** argv) {
       const char* name;
       PathFinderOptions options;
     };
-    const auto astar_with = [](bool partial, bool bound, bool schedule,
-                               bool bidi) {
-      PathFinderOptions options;  // engine defaults to AStarArena
-      options.partial_ripup = partial;
-      options.adaptive_bound = bound;
-      options.adaptive_schedule = schedule;
-      options.bidirectional = bidi;
-      return options;
-    };
     const auto alt_with = [&tables](double weight) {
-      PathFinderOptions options;  // the all-on stack plus landmarks
+      PathFinderOptions options;  // the default loop plus landmarks
       options.alt_landmarks = tables.k();
       options.landmarks = &tables;
       options.heuristic_weight = weight;
       return options;
     };
     const std::vector<Config> configs = {
-        {"baseline", baseline_options()},
-        {"none", astar_with(false, false, false, false)},
-        {"partial", astar_with(true, false, false, false)},
-        {"bound", astar_with(false, true, false, false)},
-        {"schedule", astar_with(false, false, true, false)},
-        {"bidi", astar_with(false, false, false, true)},
         {"all", PathFinderOptions{}},
         {"alt", alt_with(1.0)},
         {"alt_w1.1", alt_with(1.1)},
@@ -549,16 +485,16 @@ int main(int argc, char** argv) {
 
     TextTable table({"Nets", "Config", "ns/query", "iters", "searches",
                      "settled", "conv", "excess", "delay (us)",
-                     "rep speedup"});
+                     "rep vs all"});
     json.key("saturated_overload").begin_array();
     for (const int load : loads) {
       const auto nets = distinct_nets(fabric, load, 11);
       const std::string name = "saturated_" + std::to_string(load) + "nets";
-      double baseline_rep_ns = 0.0;
+      double all_rep_ns = 0.0;
       for (const Config& config : configs) {
         const PathFinderSample sample = run_pathfinder(
             name, config.name, graph, params, nets, config.options, reps);
-        if (sample.config == "baseline") baseline_rep_ns = sample.ns_per_rep;
+        if (sample.config == "all") all_rep_ns = sample.ns_per_rep;
         table.add_row({std::to_string(load), config.name,
                        format_fixed(sample.ns_per_query, 0),
                        std::to_string(sample.iterations_used),
@@ -567,12 +503,12 @@ int main(int argc, char** argv) {
                        sample.converged ? "yes" : "no",
                        std::to_string(sample.total_excess),
                        std::to_string(sample.total_delay),
-                       speedup_cell(baseline_rep_ns, sample.ns_per_rep)});
+                       speedup_cell(all_rep_ns, sample.ns_per_rep)});
         write_sample(json, sample);
       }
     }
     json.end_array();
-    std::cout << "\nsaturated overload (distinct endpoints, ablation):\n"
+    std::cout << "\nsaturated overload (distinct endpoints):\n"
               << table.to_string();
   }
 
@@ -675,7 +611,8 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------ scaling ---
-  // Optimized engine across growing QUALE fabrics at a fixed load.
+  // The default negotiation loop across growing QUALE fabrics at a fixed
+  // load.
   {
     json.key("scaling").begin_array();
     struct Size {
@@ -1306,14 +1243,14 @@ int main(int argc, char** argv) {
     int missing = 0;
     for (const PathFinderSample& sample : gated_samples) {
       const double recorded = baseline_ns_per_query(
-          baseline, sample.name, sample.engine, sample.config);
+          baseline, sample.name, sample.config);
       if (recorded <= 0.0) {
         // New suite with nothing recorded yet: not a regression, but say so
         // explicitly — a silently skipped suite reads as "gated" when it
         // is not.
         ++missing;
-        std::cout << "perf gate: " << sample.name << "/" << sample.engine
-                  << "/" << sample.config << " missing from baseline "
+        std::cout << "perf gate: " << sample.name << "/" << sample.config
+                  << " missing from baseline "
                   << baseline_path
                   << " — not gated; re-record to arm it\n";
         continue;
@@ -1321,8 +1258,8 @@ int main(int argc, char** argv) {
       ++matched;
       const double ratio = sample.ns_per_query / recorded;
       const bool regressed = ratio > 2.0;
-      std::cout << "perf gate: " << sample.name << "/" << sample.engine
-                << "/" << sample.config << " "
+      std::cout << "perf gate: " << sample.name << "/" << sample.config
+                << " "
                 << format_fixed(sample.ns_per_query, 0)
                 << " ns/query vs recorded " << format_fixed(recorded, 0)
                 << " (" << format_fixed(ratio, 2) << "x)"

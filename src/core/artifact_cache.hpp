@@ -58,10 +58,10 @@ struct FabricArtifacts {
   /// residual over-use no router can remove).
   std::vector<int> trap_port_count;
 
-  /// Base-floor ALT landmark tables for (t_move, turn_cost, k), built on
-  /// first request and shared const afterwards — the tables depend only on
-  /// the fabric layout and those three knobs, so every job against this
-  /// fabric reuses one set. The build runs under the per-fabric mutex:
+  /// ALT landmark tables for (t_move, turn_cost, k), built on first
+  /// request and shared const afterwards — the tables depend only on the
+  /// fabric layout and those three knobs, so every job against this fabric
+  /// reuses one set. The build runs under the per-fabric mutex:
   /// concurrent first requests (the batch common case — many programs, one
   /// fabric) block briefly and then hit, so `builds` counts exactly one
   /// construction per distinct key. Returns nullptr when k <= 0.

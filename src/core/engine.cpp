@@ -67,7 +67,7 @@ NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
   options.alt_landmarks = mapper.route_landmarks;
   options.heuristic_weight = mapper.route_heuristic_weight;
   // Landmark tables come from the per-fabric cache, so a batch of programs
-  // against one fabric pays the 2K-Dijkstra build exactly once. Tables must
+  // against one fabric pays the K-Dijkstra build exactly once. Tables must
   // match the search's base costs (t_move and the turn-aware turn cost —
   // the same expression route_nets_negotiated uses).
   std::shared_ptr<const LandmarkTables> landmarks;
@@ -91,7 +91,6 @@ NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
   diagnostics.total_delay = negotiated.total_delay;
   diagnostics.landmarks_used = negotiated.landmarks_used;
   diagnostics.heuristic_weight = negotiated.heuristic_weight;
-  diagnostics.alt_refreshes = negotiated.alt_refreshes;
   diagnostics.nodes_settled = negotiated.nodes_settled;
   return diagnostics;
 }

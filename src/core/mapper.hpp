@@ -91,11 +91,10 @@ struct NegotiationDiagnostics {
   Duration total_delay = 0;
   /// ALT/quality observability (MapperOptions::route_landmarks and
   /// ::route_heuristic_weight): landmark count the searches ran with, the
-  /// suboptimality weight, mid-negotiation potential-table refreshes, and
-  /// the nodes the searches settled (the figure ALT exists to shrink).
+  /// suboptimality weight, and the nodes the searches settled (the figure
+  /// ALT exists to shrink).
   int landmarks_used = 0;
   double heuristic_weight = 1.0;
-  int alt_refreshes = 0;
   long long nodes_settled = 0;
 };
 

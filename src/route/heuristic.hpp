@@ -10,6 +10,12 @@
 // t_move, and a turn edge (weight == turn_cost) by at most turn_cost, so
 // settled nodes are never re-expanded.
 //
+// The negotiated PathFinder searches use the same bound: negotiated move
+// weights are t_move times a penalty >= 1, so the uncongested bound stays
+// admissible and consistent under every congestion state. Evaluated towards
+// the source it also bounds the source->node cost, which makes it the
+// backward potential of the bidirectional search.
+//
 // The unidirectional PathFinder search combines this bound by max with the
 // ALT landmark bound (route/landmarks.hpp) when landmarks are enabled: a
 // max of admissible-and-consistent bounds is itself admissible and
@@ -38,55 +44,6 @@ template <typename Cost>
   if (node.is_trap) {
     // Orientation is meaningless inside a trap; only a genuinely L-shaped
     // remaining displacement forces a turn.
-    if (dr != 0 && dc != 0) bound += turn_cost;
-    return bound;
-  }
-  const bool needs_horizontal = dc != 0;
-  const bool needs_vertical = dr != 0;
-  if ((needs_horizontal && needs_vertical) ||
-      (needs_horizontal && node.orientation == Orientation::Vertical) ||
-      (needs_vertical && node.orientation == Orientation::Horizontal)) {
-    bound += turn_cost;
-  }
-  return bound;
-}
-
-/// Congestion-adaptive variant of the grid bound (the PathFinder's scaled
-/// A* heuristic). `floor` must be a proven lower bound on the negotiated
-/// penalty of entering *any* channel/junction resource under the current
-/// congestion state (CongestionLedger::penalty_floor, >= 1). Every one of
-/// the remaining Manhattan moves enters a capacity-priced resource — except
-/// the final move when the path ends inside a trap (trap entries cost a flat
-/// t_move) — so the per-move term scales by `floor` without losing
-/// admissibility, and the bound stops collapsing to the uncongested grid
-/// distance when penalties dominate the true cost. The turn term is
-/// unchanged: turn edges carry no congestion penalty.
-///
-/// `moves_end_in_trap` says whether the bounded path terminates inside a
-/// trap: true for the forward frontier (the search target is a trap) and for
-/// backward bounds evaluated *at* trap nodes; false for backward bounds at
-/// channel/junction nodes (every move of a source->node path is priced).
-/// With floor == 1 both variants reduce exactly to grid_lower_bound.
-/// Consistency (h(u) <= w_min(u,v) + h(v) under the floored edge weights)
-/// holds for both frontiers; tests/search_equivalence_test.cpp checks it
-/// edge-exhaustively.
-[[nodiscard]] inline double congestion_scaled_bound(const RouteNode& node,
-                                                    Position endpoint,
-                                                    double t_move,
-                                                    double turn_cost,
-                                                    double floor,
-                                                    bool moves_end_in_trap) {
-  const int dr = std::abs(node.cell.row - endpoint.row);
-  const int dc = std::abs(node.cell.col - endpoint.col);
-  const int distance = dr + dc;
-  double bound = 0.0;
-  if (distance > 0) {
-    const double scaled_moves =
-        moves_end_in_trap ? static_cast<double>(distance - 1) * floor + 1.0
-                          : static_cast<double>(distance) * floor;
-    bound = scaled_moves * t_move;
-  }
-  if (node.is_trap) {
     if (dr != 0 && dc != 0) bound += turn_cost;
     return bound;
   }

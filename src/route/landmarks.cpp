@@ -9,15 +9,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One Dijkstra over the through-trap supergraph under per-entered-node
-/// prices, filling `dist` with d(source -> v) (forward) or d(v -> source)
-/// (backward). The graph is symmetric with per-entered-node move weights, so
-/// the backward (reverse-graph) relaxation walks the same CSR rows and
-/// simply prices the node being *exited* in forward terms — the node every
-/// reversed edge enters.
-void dijkstra_supergraph(const RoutingGraph& graph, double turn_cost,
-                         const std::vector<double>& node_price,
-                         RouteNodeId source, bool backward,
+/// One Dijkstra over the through-trap supergraph under the base metric
+/// (turn edges cost turn_cost, every move t_move), filling `dist` with
+/// d(source -> v). The metric is symmetric, so this is d(v -> source) too.
+void dijkstra_supergraph(const RoutingGraph& graph, double t_move,
+                         double turn_cost, RouteNodeId source,
                          SearchArena<double>& arena,
                          std::vector<double>& dist) {
   const std::size_t n = graph.node_count();
@@ -26,19 +22,15 @@ void dijkstra_supergraph(const RoutingGraph& graph, double turn_cost,
   arena.heap_push(0.0, 0.0, source);
   while (!arena.heap_empty()) {
     const auto entry = arena.heap_pop();
-    // One-pop-ahead prefetch; a pure latency hint over these 2K+K full
-    // sweeps, which touch every CSR row per source.
+    // One-pop-ahead prefetch; a pure latency hint over these K full sweeps,
+    // which touch every CSR row per source.
     const RouteNodeId ahead = arena.heap_peek_node();
     arena.prefetch(ahead);
     graph.prefetch_edges(ahead);
     if (entry.g != arena.dist(entry.node)) continue;  // stale heap entry
-    const double exit_price = backward ? node_price[entry.node.index()] : 0.0;
     for (const RouteEdge& edge : graph.edges(entry.node)) {
-      const double weight =
-          edge.is_turn
-              ? turn_cost
-              : (backward ? exit_price : node_price[edge.to.index()]);
-      const double candidate = entry.g + weight;
+      const double candidate =
+          entry.g + (edge.is_turn ? turn_cost : t_move);
       if (candidate < arena.dist(edge.to)) {
         arena.relax(edge.to, candidate, entry.node);
         arena.heap_push(candidate, candidate, edge.to);
@@ -49,20 +41,6 @@ void dijkstra_supergraph(const RoutingGraph& graph, double turn_cost,
   for (std::size_t v = 0; v < n; ++v) {
     dist[v] = arena.dist(RouteNodeId::from_index(v));
   }
-}
-
-/// Floored base-metric prices: traps cost a flat t_move (trap entries carry
-/// no congestion penalty), channel/junction nodes cost floor * t_move
-/// (floor lower-bounds every negotiated penalty).
-std::vector<double> floored_prices(const RoutingGraph& graph, double t_move,
-                                   double floor) {
-  std::vector<double> prices(graph.node_count());
-  for (std::size_t v = 0; v < prices.size(); ++v) {
-    prices[v] =
-        graph.node(RouteNodeId::from_index(v)).is_trap ? t_move
-                                                       : floor * t_move;
-  }
-  return prices;
 }
 
 }  // namespace
@@ -78,10 +56,9 @@ std::vector<RouteNodeId> select_landmarks(const RoutingGraph& graph,
   // pick is the node farthest from an arbitrary anchor (the classic
   // farthest-point bootstrap). Ascending scan + strict > keeps ties on the
   // smallest node index, making the selection platform-deterministic.
-  const std::vector<double> prices = floored_prices(graph, t_move, 1.0);
   std::vector<double> from_set;
-  dijkstra_supergraph(graph, turn_cost, prices, RouteNodeId::from_index(0),
-                      /*backward=*/false, arena, from_set);
+  dijkstra_supergraph(graph, t_move, turn_cost, RouteNodeId::from_index(0),
+                      arena, from_set);
   std::vector<double> from_landmark;
   while (landmarks.size() < static_cast<std::size_t>(k)) {
     std::size_t best = n;
@@ -97,8 +74,8 @@ std::vector<RouteNodeId> select_landmarks(const RoutingGraph& graph,
     const RouteNodeId landmark = RouteNodeId::from_index(best);
     landmarks.push_back(landmark);
     if (landmarks.size() == static_cast<std::size_t>(k)) break;
-    dijkstra_supergraph(graph, turn_cost, prices, landmark,
-                        /*backward=*/false, arena, from_landmark);
+    dijkstra_supergraph(graph, t_move, turn_cost, landmark, arena,
+                        from_landmark);
     for (std::size_t v = 0; v < n; ++v) {
       from_set[v] = std::min(from_set[v], from_landmark[v]);
     }
@@ -106,11 +83,11 @@ std::vector<RouteNodeId> select_landmarks(const RoutingGraph& graph,
   return landmarks;
 }
 
-void build_landmark_tables_priced(const RoutingGraph& graph, double turn_cost,
-                                  const std::vector<double>& node_price,
-                                  const std::vector<RouteNodeId>& landmarks,
-                                  SearchArena<double>& arena,
-                                  LandmarkTables& out) {
+void build_landmark_tables(const RoutingGraph& graph, double t_move,
+                           double turn_cost,
+                           const std::vector<RouteNodeId>& landmarks,
+                           SearchArena<double>& arena, LandmarkTables& out) {
+  out.t_move = t_move;
   out.turn_cost = turn_cost;
   out.landmarks = landmarks;
   const std::size_t n = graph.node_count();
@@ -119,31 +96,19 @@ void build_landmark_tables_priced(const RoutingGraph& graph, double turn_cost,
   out.backward.assign(n * k, kInf);
   std::vector<double> dist;
   for (std::size_t i = 0; i < k; ++i) {
-    dijkstra_supergraph(graph, turn_cost, node_price, landmarks[i],
-                        /*backward=*/false, arena, dist);
-    for (std::size_t v = 0; v < n; ++v) out.forward[v * k + i] = dist[v];
-    dijkstra_supergraph(graph, turn_cost, node_price, landmarks[i],
-                        /*backward=*/true, arena, dist);
-    for (std::size_t v = 0; v < n; ++v) out.backward[v * k + i] = dist[v];
+    dijkstra_supergraph(graph, t_move, turn_cost, landmarks[i], arena, dist);
+    for (std::size_t v = 0; v < n; ++v) {
+      out.forward[v * k + i] = dist[v];
+      out.backward[v * k + i] = dist[v];
+    }
   }
-}
-
-void build_landmark_tables(const RoutingGraph& graph, double t_move,
-                           double turn_cost, double floor,
-                           const std::vector<RouteNodeId>& landmarks,
-                           SearchArena<double>& arena, LandmarkTables& out) {
-  build_landmark_tables_priced(graph, turn_cost,
-                               floored_prices(graph, t_move, floor),
-                               landmarks, arena, out);
-  out.t_move = t_move;
-  out.floor = floor;
 }
 
 LandmarkTables build_landmark_tables(const RoutingGraph& graph, double t_move,
                                      double turn_cost, int k) {
   SearchArena<double> arena;
   LandmarkTables tables;
-  build_landmark_tables(graph, t_move, turn_cost, 1.0,
+  build_landmark_tables(graph, t_move, turn_cost,
                         select_landmarks(graph, t_move, turn_cost, k, arena),
                         arena, tables);
   return tables;

@@ -17,17 +17,17 @@
 // t_turn is 10x t_move, and saturated searches spend their time exploring
 // equally-long detours the grid bound cannot distinguish.
 //
-// Soundness under negotiation. Tables are computed over the *floored base
-// metric*: a turn edge costs turn_cost, entering a trap costs t_move, and
-// entering any channel/junction node costs floor * t_move, where `floor` is
-// an admissible lower bound on the negotiated entering penalty
-// (CongestionLedger::penalty_floor; the base tables use floor = 1). Every
-// negotiated search weight dominates these weights edge-for-edge whenever
-// the live penalty floor is >= the table floor, so the table distances lower
-// -bound the negotiated distances and each single-landmark bound is both
-// admissible and *consistent* for the search — and a max of consistent
-// bounds is consistent (tests/alt_heuristic_test.cpp checks this
-// edge-exhaustively for both frontiers).
+// Soundness under negotiation. Tables are computed over the uncongested
+// *base metric*: a turn edge costs turn_cost and every move costs t_move.
+// Every negotiated search weight is t_move times a penalty >= 1 (trap
+// entries are a flat t_move), so it dominates the base weight edge for
+// edge: the table distances lower-bound the negotiated distances for the
+// whole negotiation, and each single-landmark bound is both admissible and
+// *consistent* for the search — and a max of consistent bounds is
+// consistent (tests/alt_heuristic_test.cpp checks this edge-exhaustively
+// for both frontiers). The base metric is symmetric (the routing graph is,
+// with the same turn flag both ways), so one Dijkstra per landmark fills
+// both its forward and its backward table.
 //
 // One deliberate slack: the landmark metric keeps traps as through-nodes
 // (queries prune edges into non-endpoint traps, the tables do not). The
@@ -37,17 +37,7 @@
 // bound near trap shortcuts.
 //
 // Tables are built once per distinct fabric and cached in
-// FabricArtifactCache next to the CSR graph. Under negotiation the global
-// penalty floor rarely moves (congestion is localised), so the refresh
-// trigger keys on the *history* component instead: entering_penalty =
-// present * (1 + history) with present >= 1, and history only grows within
-// a run, so per-node prices t_move * (1 + history(v)) baked into a rebuilt
-// table stay an edge-for-edge lower bound for the rest of the negotiation.
-// The loop rebuilds (same landmark set, so deterministically) whenever
-// 1 + max_history outgrows the strength of the current tables by
-// PathFinderOptions::alt_refresh_threshold — this is what makes the bound
-// congestion-aware exactly in the saturated regime where the grid bound
-// goes flat.
+// FabricArtifactCache next to the CSR graph.
 #pragma once
 
 #include <algorithm>
@@ -64,9 +54,6 @@ namespace qspr {
 struct LandmarkTables {
   double t_move = 0.0;
   double turn_cost = 0.0;
-  /// Penalty floor the tables were built at (>= 1; base tables use 1.0).
-  /// Valid for a search iff the live penalty floor is >= this value.
-  double floor = 1.0;
   std::vector<RouteNodeId> landmarks;
   std::vector<double> forward;   // forward[v*k+L]  = d(landmark L -> v)
   std::vector<double> backward;  // backward[v*k+L] = d(v -> landmark L)
@@ -83,32 +70,19 @@ struct LandmarkTables {
   }
 };
 
-/// Deterministic farthest-point landmark selection over the base (floor 1)
-/// metric: the first landmark is the node farthest from node 0, each next
-/// landmark maximises the distance to the already-selected set, ties broken
-/// by smallest node index. Returns min(k, node_count) landmarks.
+/// Deterministic farthest-point landmark selection over the base metric:
+/// the first landmark is the node farthest from node 0, each next landmark
+/// maximises the distance to the already-selected set, ties broken by
+/// smallest node index. Returns min(k, node_count) landmarks.
 std::vector<RouteNodeId> select_landmarks(const RoutingGraph& graph,
                                           double t_move, double turn_cost,
                                           int k, SearchArena<double>& arena);
 
-/// Builds the forward/backward distance tables of `landmarks` under an
-/// arbitrary per-entered-node price vector (2K Dijkstras over the
-/// through-trap supergraph, reusing `arena`). The tables lower-bound every
-/// search whose non-turn edge weights dominate `node_price` entry-for-entry
-/// — the negotiation loop uses this with the monotone history prices
-/// t_move * (1 + history(v)), which stay dominated for the rest of the run.
-/// Deterministic for a fixed landmark set and price vector.
-void build_landmark_tables_priced(const RoutingGraph& graph, double turn_cost,
-                                  const std::vector<double>& node_price,
-                                  const std::vector<RouteNodeId>& landmarks,
-                                  SearchArena<double>& arena,
-                                  LandmarkTables& out);
-
-/// Builds the forward/backward distance tables of `landmarks` at penalty
-/// floor `floor` (uniform prices: t_move for traps, floor * t_move
-/// elsewhere). Deterministic for a fixed landmark set.
+/// Builds the forward/backward distance tables of `landmarks` over the base
+/// metric (K Dijkstras over the through-trap supergraph, reusing `arena`).
+/// Deterministic for a fixed landmark set.
 void build_landmark_tables(const RoutingGraph& graph, double t_move,
-                           double turn_cost, double floor,
+                           double turn_cost,
                            const std::vector<RouteNodeId>& landmarks,
                            SearchArena<double>& arena, LandmarkTables& out);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -21,28 +20,19 @@ namespace {
 /// tails are pressed with a ramped history increment for six times as long.
 constexpr int kStagnationLimit = 3;
 
+/// Ceiling of the geometric present-factor schedule. Beyond it the (ramped)
+/// history carries the pressure, and saturated-regime edge weights stay
+/// commensurate with the admissible distance bound instead of letting every
+/// late search degenerate into a whole-fabric Dijkstra flood. 64 is above
+/// the factor any converging bench suite ever reaches (iteration 12 of the
+/// x1.5 schedule), so converging negotiations never hit the cap.
+constexpr double kPresentFactorMax = 64.0;
+
 ResourceRef resource_of_node(const RouteNode& node) {
   if (node.is_trap) return ResourceRef{};
   if (node.junction.is_valid()) return ResourceRef::junction(node.junction);
   if (node.segment.is_valid()) return ResourceRef::segment(node.segment);
   return ResourceRef{};
-}
-
-/// Negotiated cost of stepping across `edge` into node `v`. Callers prune
-/// edges into non-target traps before pricing (traps are endpoints only).
-double edge_weight(const RouteNode& v, const RouteEdge& edge,
-                   const TechnologyParams& params,
-                   const CongestionLedger& ledger, bool turn_aware) {
-  if (edge.is_turn) {
-    return turn_aware ? static_cast<double>(params.t_turn) : 0.1;
-  }
-  if (v.is_trap) return static_cast<double>(params.t_move);
-  const ResourceRef resource = resource_of_node(v);
-  double penalty = 1.0;
-  if (resource.index >= 0) {
-    penalty = ledger.entering_penalty(ledger.index_of(resource));
-  }
-  return static_cast<double>(params.t_move) * penalty;
 }
 
 }  // namespace
@@ -89,71 +79,14 @@ void NodeWeightCache::refresh_resource(const CongestionLedger& ledger,
 
 namespace {
 
-/// One negotiated-cost Dijkstra — the reference engine. Runs over the shared
-/// SearchArena (pushing f = g, so the frontier degenerates to plain
-/// Dijkstra order) instead of allocating O(n) dist/parent vectors per query:
-/// equivalence benchmarks against the optimized engine now compare search
-/// strategy, not allocator noise. Pop order and results are unchanged — the
-/// old priority_queue ordered by (cost, node) and the arena frontier orders
-/// by (f, g, node) = (cost, cost, node), the same total order.
-std::optional<std::vector<RouteNodeId>> route_one_reference(
-    const RoutingGraph& graph, const TechnologyParams& params,
-    const CongestionLedger& ledger, bool turn_aware, TrapId from, TrapId to,
-    SearchArena<double>& arena, long long& nodes_settled) {
-  const RouteNodeId source = graph.trap_node(from);
-  const RouteNodeId target = graph.trap_node(to);
-  if (source == target) return std::vector<RouteNodeId>{source};
-
-  arena.begin(graph.node_count());
-  arena.relax(source, 0.0, RouteNodeId::invalid());
-  arena.heap_push(0.0, 0.0, source);
-
-  bool reached = false;
-  while (!arena.heap_empty()) {
-    const auto entry = arena.heap_pop();
-    // Candidates are pushed only on strict improvement, so a stale entry's g
-    // can only exceed the recorded dist: `!=` is the old `>` staleness test.
-    if (entry.g != arena.dist(entry.node)) continue;
-    ++nodes_settled;
-    if (entry.node == target) {
-      reached = true;
-      break;
-    }
-
-    for (const RouteEdge& edge : graph.edges(entry.node)) {
-      const RouteNode& v = graph.node(edge.to);
-      if (!edge.is_turn && v.is_trap && v.trap != to) {
-        continue;  // traps are endpoints only
-      }
-      const double weight = edge_weight(v, edge, params, ledger, turn_aware);
-      const double candidate = entry.g + weight;
-      if (candidate < arena.dist(edge.to)) {
-        arena.relax(edge.to, candidate, entry.node);
-        arena.heap_push(candidate, candidate, edge.to);
-      }
-    }
-  }
-  if (!reached) return std::nullopt;
-
-  std::vector<RouteNodeId> path;
-  for (RouteNodeId node = target; node.is_valid(); node = arena.parent(node)) {
-    path.push_back(node);
-    if (node == source) break;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-/// Physics of one optimized search: base move/turn selection costs plus the
-/// admissible congestion floor of the current iteration, the (already
+/// Physics of one search: base move/turn selection costs, the (already
 /// validity-checked) ALT tables, and the bounded-suboptimality weight.
 struct SearchCosts {
   double t_move = 0.0;
   double turn_cost = 0.0;
-  double floor = 1.0;
-  /// ALT tables whose build floor is <= `floor` (admissible for this
-  /// search), or null for the grid bound alone. Selected per query by the
-  /// negotiation loop, never inside the search.
+  /// ALT tables over the uncongested base metric, or null for the grid
+  /// bound alone. Negotiated weights only ever exceed the base weights, so
+  /// the tables stay admissible for the whole negotiation.
   const LandmarkTables* alt = nullptr;
   /// Heuristic inflation w >= 1: the frontier is ordered by g + w*h, so the
   /// returned path costs <= w * optimal. Exactly 1.0 leaves every f-value
@@ -161,10 +94,10 @@ struct SearchCosts {
   double weight = 1.0;
 };
 
-/// One negotiated-cost A* over the arena — the optimized unidirectional
-/// engine. The (optionally congestion-scaled) grid lower bound focuses the
-/// expansion toward the target; the arena makes the per-query state O(1) to
-/// reset, and the weight cache makes pricing an edge one array read.
+/// One negotiated-cost A* over the arena — the unidirectional search. The
+/// grid lower bound focuses the expansion toward the target; the arena
+/// makes the per-query state O(1) to reset, and the weight cache makes
+/// pricing an edge one array read.
 /// Returns false when the target is unreachable; on success fills `path`
 /// source-to-target.
 bool route_one_astar(const RoutingGraph& graph,
@@ -189,9 +122,8 @@ bool route_one_astar(const RoutingGraph& graph,
   const double* target_bwd =
       alt_k ? costs.alt->backward_row(target.index()) : nullptr;
   const auto bound = [&](RouteNodeId id, const RouteNode& node) {
-    double h = congestion_scaled_bound(node, target_cell, costs.t_move,
-                                       costs.turn_cost, costs.floor,
-                                       /*moves_end_in_trap=*/true);
+    double h = grid_lower_bound<double>(node, target_cell, costs.t_move,
+                                        costs.turn_cost);
     if (alt_k) {
       h = std::max(h, alt_lower_bound(costs.alt->forward_row(id.index()),
                                       costs.alt->backward_row(id.index()),
@@ -276,9 +208,13 @@ bool route_one_bidirectional(const RoutingGraph& graph,
   const Position target_cell = graph.node(target).cell;
   const double t_move = costs.t_move;
   const double turn_cost = costs.turn_cost;
-  const double floor = costs.floor;
-  // Forward bound: remaining path ends inside the target trap. Backward
-  // bound: a source->v path ends inside a trap only when v itself is one.
+  // Forward bound: the grid bound towards the target. Backward bound: the
+  // grid bound towards the source, which also lower-bounds the source->v
+  // cost — every move costs at least t_move whichever node it enters, and
+  // the turn term depends only on v and the displacement.
+  // tests/search_equivalence_test.cpp checks both frontiers
+  // edge-exhaustively.
+  //
   // The balanced potential stays *unweighted* even under heuristic_weight:
   // inflating it would make reduced edge costs negative and break the
   // settled-frontier invariant; the suboptimality knob instead scales the
@@ -295,12 +231,10 @@ bool route_one_bidirectional(const RoutingGraph& graph,
   // the same tables cut the unidirectional search 3.4x. ALT therefore
   // focuses the unidirectional engine only.
   const auto potential = [&](const RouteNode& node) {
-    const double h_forward = congestion_scaled_bound(
-        node, target_cell, t_move, turn_cost, floor,
-        /*moves_end_in_trap=*/true);
-    const double h_backward = congestion_scaled_bound(
-        node, source_cell, t_move, turn_cost, floor,
-        /*moves_end_in_trap=*/node.is_trap);
+    const double h_forward =
+        grid_lower_bound<double>(node, target_cell, t_move, turn_cost);
+    const double h_backward =
+        grid_lower_bound<double>(node, source_cell, t_move, turn_cost);
     return 0.5 * (h_forward - h_backward);
   };
 
@@ -519,11 +453,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   require(options.max_iterations >= 1, "need at least one iteration");
   require(options.bidirectional_min_cells >= 0,
           "bidirectional_min_cells must be non-negative");
-  require(options.present_factor_max > 0.0,
-          "present_factor_max must be positive");
   require(options.alt_landmarks >= 0, "alt_landmarks must be non-negative");
-  require(options.alt_refresh_threshold > 1.0,
-          "alt_refresh_threshold must be > 1");
   require(options.heuristic_weight >= 1.0,
           "heuristic_weight must be >= 1 (1.0 is the exact search)");
 
@@ -533,7 +463,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   PathFinderResult result;
   result.paths.resize(nets.size());
 
-  const bool optimized = options.engine == PathFinderEngine::AStarArena;
   // Arena state shared across all nets and all negotiation iterations (and,
   // via the caller-owned scratch, across successive batches on this thread).
   SearchArena<double>& arena = scratch.arena;
@@ -548,54 +477,41 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   std::vector<std::uint8_t>& dirty = scratch.net_dirty;
   dirty.assign(nets.size(), 1);  // every net routes in iteration 1
 
-  if (options.adaptive_schedule) {
+  {
     std::vector<std::uint32_t> structural;
     result.min_feasible_excess = structural_excess_floor(
         graph, nets, ledger, membership, scratch.trap_demand, structural);
     ledger.mark_structural(structural);
   }
 
-  const SearchCosts base_costs{
+  SearchCosts costs{
       static_cast<double>(params.t_move),
-      options.turn_aware ? static_cast<double>(params.t_turn) : 0.1, 1.0,
-      nullptr, options.heuristic_weight};
+      options.turn_aware ? static_cast<double>(params.t_turn) : 0.1, nullptr,
+      options.heuristic_weight};
   NodeWeightCache& weights = scratch.weights;
-  if (optimized) weights.build(graph, ledger);
+  weights.build(graph, ledger);
   result.heuristic_weight = options.heuristic_weight;
 
-  // --- ALT landmark bounds (optimized engine only) ------------------------
-  // Base (floor 1) tables come from the caller (the per-fabric cache) or
-  // are built here; a history-priced rebuild over the *same* landmark set
-  // may be triggered per iteration once the accumulated congestion history
-  // outgrows the refresh threshold. History only grows within a run, so a
-  // rebuilt table stays valid for the rest of the negotiation — no
-  // per-query fallback needed.
-  const bool use_alt = optimized && options.alt_landmarks > 0;
-  const LandmarkTables* alt_base = nullptr;
-  scratch.alt_refreshed.landmarks.clear();
-  bool alt_refreshed_active = false;
-  double alt_table_strength = 1.0;
-  if (use_alt) {
+  // ALT tables come from the caller (the per-fabric cache) or are built
+  // here, once per negotiation.
+  if (options.alt_landmarks > 0) {
     if (options.landmarks != nullptr && !options.landmarks->empty()) {
-      alt_base = options.landmarks;
-      require(alt_base->forward.size() ==
-                  graph.node_count() * alt_base->landmarks.size(),
+      costs.alt = options.landmarks;
+      require(costs.alt->forward.size() ==
+                  graph.node_count() * costs.alt->landmarks.size(),
               "prebuilt landmark tables do not match this graph");
-      require(alt_base->t_move == base_costs.t_move &&
-                  alt_base->turn_cost == base_costs.turn_cost,
+      require(costs.alt->t_move == costs.t_move &&
+                  costs.alt->turn_cost == costs.turn_cost,
               "prebuilt landmark tables were built for different costs");
-      require(alt_base->floor == 1.0,
-              "prebuilt landmark tables must be base (floor 1) tables");
     } else {
-      build_landmark_tables(graph, base_costs.t_move, base_costs.turn_cost,
-                            1.0,
-                            select_landmarks(graph, base_costs.t_move,
-                                             base_costs.turn_cost,
+      build_landmark_tables(graph, costs.t_move, costs.turn_cost,
+                            select_landmarks(graph, costs.t_move,
+                                             costs.turn_cost,
                                              options.alt_landmarks, arena),
                             arena, scratch.alt_base);
-      alt_base = &scratch.alt_base;
+      costs.alt = &scratch.alt_base;
     }
-    result.landmarks_used = alt_base->k();
+    result.landmarks_used = costs.alt->k();
   }
   double present_factor = options.present_factor;
   double history_increment = options.history_increment;
@@ -608,84 +524,35 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   int stagnant_iterations = 0;
   for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
     result.iterations_used = iteration;
-    ledger.begin_iteration(present_factor,
-                           optimized && options.adaptive_bound);
-    if (optimized) {
-      // History charges and the present-factor step repriced (potentially)
-      // every loaded resource: refresh the whole weight cache once per
-      // iteration, then keep it in sync per ripped/re-inserted resource.
-      weights.refresh_all(ledger, base_costs.t_move);
-    }
-    if (use_alt && options.adaptive_bound) {
-      // ALT refresh trigger, evaluated once at the start of the iteration.
-      // The trigger keys on the *history* penalty component:
-      // entering_penalty = present * (1 + history) with present >= 1, and
-      // history only grows within a run, so per-node prices
-      // t_move * (1 + history(v)) baked into the rebuilt tables stay an
-      // edge-for-edge lower bound on every later search weight. This is
-      // the congestion-aware bound for the saturated regime — there the
-      // localised penalties never move the global floor, but the charged
-      // history mass keeps climbing.
-      const double strength = 1.0 + ledger.max_history();
-      if (strength >= alt_table_strength * options.alt_refresh_threshold) {
-        scratch.alt_price.resize(graph.node_count());
-        for (std::size_t v = 0; v < scratch.alt_price.size(); ++v) {
-          const std::int32_t res = weights.node_resource[v];
-          scratch.alt_price[v] =
-              res < 0 ? base_costs.t_move
-                      : base_costs.t_move *
-                            (1.0 + ledger.history(
-                                       static_cast<std::size_t>(res)));
-        }
-        build_landmark_tables_priced(graph, base_costs.turn_cost,
-                                     scratch.alt_price, alt_base->landmarks,
-                                     arena, scratch.alt_refreshed);
-        alt_refreshed_active = true;
-        alt_table_strength = strength;
-        ++result.alt_refreshes;
-      }
-    }
+    ledger.begin_iteration(present_factor);
+    // History charges and the present-factor step repriced (potentially)
+    // every loaded resource: refresh the whole weight cache once per
+    // iteration, then keep it in sync per ripped/re-inserted resource.
+    weights.refresh_all(ledger, costs.t_move);
     // Incremental rip-up: each dirty net is removed from the occupancy,
     // re-routed against the *other* nets' present congestion plus the
-    // history costs, and re-inserted. With partial_ripup off every net is
-    // dirty every iteration (the original full-sweep PathFinder loop). The
-    // rip is unconditional: at iteration 1 every occupancy set is empty (a
-    // no-op).
+    // history costs, and re-inserted. The rip is unconditional: at
+    // iteration 1 every occupancy set is empty (a no-op).
     for (std::size_t i = 0; i < nets.size(); ++i) {
       if (!dirty[i]) continue;
       for (const std::uint32_t index : net_resources[i]) {
         ledger.release(index);
-        if (optimized) weights.refresh_resource(ledger, index);
+        weights.refresh_resource(ledger, index);
       }
       ++result.searches_performed;
 
-      bool routed = false;
-      if (optimized) {
-        SearchCosts costs = base_costs;
-        if (options.adaptive_bound) costs.floor = ledger.penalty_floor();
-        if (use_alt) {
-          costs.alt = alt_refreshed_active ? &scratch.alt_refreshed : alt_base;
-        }
-        const bool long_query =
-            options.bidirectional &&
-            manhattan_cells(graph, nets[i].from, nets[i].to) >=
-                options.bidirectional_min_cells;
-        routed = long_query
-                     ? route_one_bidirectional(graph, weights, costs,
-                                               nets[i].from, nets[i].to,
-                                               arena, node_buffer,
-                                               result.nodes_settled)
-                     : route_one_astar(graph, weights, costs, nets[i].from,
-                                       nets[i].to, arena, node_buffer,
-                                       result.nodes_settled);
-      } else {
-        auto nodes = route_one_reference(graph, params, ledger,
-                                         options.turn_aware, nets[i].from,
-                                         nets[i].to, arena,
-                                         result.nodes_settled);
-        routed = nodes.has_value();
-        if (routed) node_buffer = std::move(*nodes);
-      }
+      const bool long_query =
+          options.bidirectional &&
+          manhattan_cells(graph, nets[i].from, nets[i].to) >=
+              options.bidirectional_min_cells;
+      const bool routed =
+          long_query
+              ? route_one_bidirectional(graph, weights, costs, nets[i].from,
+                                        nets[i].to, arena, node_buffer,
+                                        result.nodes_settled)
+              : route_one_astar(graph, weights, costs, nets[i].from,
+                                nets[i].to, arena, node_buffer,
+                                result.nodes_settled);
       if (!routed) {
         throw RoutingError("PathFinder: net " + std::to_string(i) +
                            " has no route on this fabric");
@@ -696,7 +563,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
 
       for (const std::uint32_t index : net_resources[i]) {
         ledger.acquire(index);
-        if (optimized) weights.refresh_resource(ledger, index);
+        weights.refresh_resource(ledger, index);
       }
     }
 
@@ -710,85 +577,74 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
       result.converged = true;
       break;
     }
-    if (options.adaptive_schedule) {
-      if (summary.total_excess <= result.min_feasible_excess) {
-        // Residual over-use has reached the provable structural floor: no
-        // negotiation can do better, stop and report instead of burning the
-        // remaining iterations on ever-costlier searches.
+    if (summary.total_excess <= result.min_feasible_excess) {
+      // Residual over-use has reached the provable structural floor: no
+      // negotiation can do better, stop and report instead of burning the
+      // remaining iterations on ever-costlier searches.
+      break;
+    }
+    if (summary.total_excess < best_excess) {
+      // Only a clear improvement resets the stagnation counter: on a
+      // saturated plateau the excess wobbles by +-1 around its floor, and
+      // counting that noise as progress keeps the loop flooding for the
+      // whole iteration cap.
+      const int margin = std::max(1, best_excess / 16);
+      if (best_excess - summary.total_excess >= margin) {
+        stagnant_iterations = 0;
+        history_increment = options.history_increment;
+      }
+      best_excess = summary.total_excess;
+    } else {
+      ++stagnant_iterations;
+      // A stubborn *tail* (a handful of excess units) yields to ramped
+      // permanent pressure: double the history increment until the
+      // plateau breaks. Tail iterations are usually cheap — partial
+      // rip-up only re-routes the few offending nets — so the ramp gets
+      // several multiples of the plateau patience; but a tail that
+      // survives even a fully-saturated ramp (e.g. structural over-use
+      // the floor under-approximated across overlapping port sets) is
+      // stuck, and keeping at it would burn the rest of the cap on
+      // escalated full sweeps.
+      const int tail = std::max(4, static_cast<int>(nets.size()) / 2);
+      if (summary.total_excess <= tail) {
+        history_increment = std::min(history_increment * 2.0,
+                                     options.history_increment * 64.0);
+        if (stagnant_iterations >= 6 * kStagnationLimit) break;
+      } else if (stagnant_iterations >= kStagnationLimit) {
+        // A saturated *plateau* (excess comparable to the net count) is
+        // the signature of regional over-subscription: ramping only
+        // destabilises it, and every extra iteration is a whole-fabric
+        // flood per net. Stop and report the residual.
         break;
       }
-      if (summary.total_excess < best_excess) {
-        // Only a clear improvement resets the stagnation counter: on a
-        // saturated plateau the excess wobbles by +-1 around its floor, and
-        // counting that noise as progress keeps the loop flooding for the
-        // whole iteration cap.
-        const int margin = std::max(1, best_excess / 16);
-        if (best_excess - summary.total_excess >= margin) {
-          stagnant_iterations = 0;
-          history_increment = options.history_increment;
-        }
-        best_excess = summary.total_excess;
-      } else {
-        ++stagnant_iterations;
-        // A stubborn *tail* (a handful of excess units) yields to ramped
-        // permanent pressure: double the history increment until the
-        // plateau breaks. Tail iterations are usually cheap — partial
-        // rip-up only re-routes the few offending nets — so the ramp gets
-        // several multiples of the plateau patience; but a tail that
-        // survives even a fully-saturated ramp (e.g. structural over-use
-        // the floor under-approximated across overlapping port sets) is
-        // stuck, and keeping at it would burn the rest of the cap on
-        // escalated full sweeps.
-        const int tail =
-            std::max(4, static_cast<int>(nets.size()) / 2);
-        if (summary.total_excess <= tail) {
-          history_increment = std::min(history_increment * 2.0,
-                                       options.history_increment * 64.0);
-          if (stagnant_iterations >= 6 * kStagnationLimit) break;
-        } else if (stagnant_iterations >= kStagnationLimit) {
-          // A saturated *plateau* (excess comparable to the net count) is
-          // the signature of regional over-subscription: ramping only
-          // destabilises it, and every extra iteration is a whole-fabric
-          // flood per net. Stop and report the residual.
-          break;
-        }
-      }
     }
-    if (options.partial_ripup) {
-      if (summary.overused >= best_overused) {
-        // Stagnation: the dirty subset is ping-ponging among the contested
-        // corridors while clean nets pin the alternatives. Escalate to one
-        // full rip-up sweep so the whole net set renegotiates, then resume
-        // partial sweeps.
-        std::fill(dirty.begin(), dirty.end(), std::uint8_t{1});
-      } else {
-        // Next iteration's worklist: exactly the nets whose current path
-        // crosses a *negotiable* over-subscribed resource. Structural
-        // over-use (endpoint port demand above capacity) cannot be routed
-        // away, so the nets forced through it are left settled instead of
-        // churning the whole region every iteration. Any negotiable
-        // overused resource is held by at least one net, so the worklist
-        // can never stall while removable over-use remains.
-        for (std::size_t i = 0; i < nets.size(); ++i) {
-          dirty[i] = 0;
-          for (const std::uint32_t index : net_resources[i]) {
-            if (ledger.is_overused(index) && !ledger.is_structural(index)) {
-              dirty[i] = 1;
-              break;
-            }
+    if (summary.overused >= best_overused) {
+      // Stagnation: the dirty subset is ping-ponging among the contested
+      // corridors while clean nets pin the alternatives. Escalate to one
+      // full rip-up sweep so the whole net set renegotiates, then resume
+      // partial sweeps.
+      std::fill(dirty.begin(), dirty.end(), std::uint8_t{1});
+    } else {
+      // Next iteration's worklist: exactly the nets whose current path
+      // crosses a *negotiable* over-subscribed resource. Structural
+      // over-use (endpoint port demand above capacity) cannot be routed
+      // away, so the nets forced through it are left settled instead of
+      // churning the whole region every iteration. Any negotiable
+      // overused resource is held by at least one net, so the worklist
+      // can never stall while removable over-use remains.
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        dirty[i] = 0;
+        for (const std::uint32_t index : net_resources[i]) {
+          if (ledger.is_overused(index) && !ledger.is_structural(index)) {
+            dirty[i] = 1;
+            break;
           }
         }
       }
-      best_overused = std::min(best_overused, summary.overused);
     }
-    present_factor *= 1.5;  // standard PathFinder schedule
-    if (options.adaptive_schedule) {
-      // Cap the schedule once saturated: beyond the ceiling, the (ramped)
-      // history carries the pressure, and edge weights stay commensurate
-      // with the admissible distance bound instead of drowning it.
-      // Converging runs never reach the ceiling.
-      present_factor = std::min(present_factor, options.present_factor_max);
-    }
+    best_overused = std::min(best_overused, summary.overused);
+    // Standard x1.5 PathFinder schedule, capped once saturated.
+    present_factor = std::min(present_factor * 1.5, kPresentFactorMax);
   }
 
   result.total_delay = 0;

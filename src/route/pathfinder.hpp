@@ -9,12 +9,14 @@
 // (accumulates across iterations on chronically over-used resources), until
 // no channel or junction exceeds its capacity.
 //
-// The optimized loop is congestion-adaptive: a dirty-net worklist rips up
-// and re-routes only nets overlapping over-subscribed resources (partial
-// rip-up), the A* bound scales with the admissible congestion penalty floor
-// so it keeps pruning when penalties dominate, and long queries run a
-// bidirectional meet-in-the-middle search over the arena's second frontier.
-// Each mechanism toggles independently via PathFinderOptions.
+// The loop is congestion-adaptive, with every mechanism always on: a
+// dirty-net worklist rips up and re-routes only nets overlapping
+// over-subscribed resources (partial rip-up), the negotiation schedule caps
+// the present factor and ramps the history increment on stagnation, and
+// long queries run a bidirectional meet-in-the-middle search over the
+// arena's second frontier. Each search is an A* over the admissible grid
+// bound (route/heuristic.hpp), optionally max-combined with ALT landmark
+// bounds (route/landmarks.hpp).
 //
 // The loop is serial: within an iteration the dirty nets are ripped up,
 // re-routed and re-inserted one at a time in net order, so a run is a pure
@@ -43,16 +45,6 @@ struct NetRequest {
   TrapId to;
 };
 
-/// Inner shortest-path engine of the negotiation loop.
-enum class PathFinderEngine : std::uint8_t {
-  /// Plain Dijkstra allocating its search state per query. Kept as the
-  /// equivalence/benchmark baseline; produces the same negotiated costs.
-  ReferenceDijkstra,
-  /// A* with the admissible grid lower bound over a generation-stamped
-  /// SearchArena reused across all nets and iterations (the fast path).
-  AStarArena,
-};
-
 struct PathFinderOptions {
   int max_iterations = 30;
   /// Present-congestion penalty factor added per unit of over-use.
@@ -61,81 +53,33 @@ struct PathFinderOptions {
   double history_increment = 0.25;
   /// Model turn delays in the cost (QSPR's enhancement; QUALE ran without).
   bool turn_aware = true;
-  /// Inner search engine; the default is the optimized arena-backed A*.
-  PathFinderEngine engine = PathFinderEngine::AStarArena;
-
-  // --- congestion-adaptive mechanisms (each independently toggleable; the
-  // --- saturated_overload bench suite records their ablation) ---
-
-  /// Partial rip-up/re-route: after the first iteration only *dirty* nets —
-  /// nets whose current path overlaps an over-subscribed resource — are
-  /// ripped up and re-routed; converged nets keep their paths. Applies to
-  /// both engines (it is an outer-loop mechanism).
-  bool partial_ripup = true;
-  /// Congestion-adaptive A* bound: scale the per-move lower bound by the
-  /// congestion penalty floor (CongestionLedger::penalty_floor), keeping the
-  /// bound admissible — and still pruning — while congestion penalties
-  /// dominate the uncongested grid distance. AStarArena only.
-  bool adaptive_bound = true;
-  /// Congestion-adaptive negotiation schedule (engine-agnostic, so engine
-  /// equivalence is preserved): (a) the geometric present-factor schedule is
-  /// capped at present_factor_max, keeping saturated-regime edge weights
-  /// distance-commensurate instead of letting every late search degenerate
-  /// into a whole-fabric Dijkstra flood; (b) when the total capacity excess
-  /// stagnates, the history increment ramps geometrically until the plateau
-  /// breaks (the permanent pressure classic PathFinder gets from its
-  /// unbounded present factor, without the flood); (c) the loop stops as
-  /// soon as the residual excess reaches the provable structural floor
-  /// (endpoint port demand over port capacity — no negotiation can do
-  /// better), or after a few consecutive iterations without excess
-  /// improvement despite the ramp (kStagnationLimit in pathfinder.cpp).
-  bool adaptive_schedule = true;
-  /// Present-factor ceiling under adaptive_schedule. 64 is above the factor
-  /// any converging bench suite ever reaches (iteration 12 of the x1.5
-  /// schedule), so converging negotiations are bit-identical with or without
-  /// the cap.
-  double present_factor_max = 64.0;
   /// Bidirectional A* (meet-in-the-middle over the arena's second frontier)
   /// for long queries, where a unidirectional search settles most of the
-  /// fabric before reaching the target. AStarArena only.
+  /// fabric before reaching the target.
   bool bidirectional = true;
   /// Minimum source-target Manhattan distance (in cells) before a query uses
   /// the bidirectional search; short queries stay unidirectional.
   int bidirectional_min_cells = 24;
 
-  // --- ALT landmark lower bounds + bounded-suboptimal knob (AStarArena
-  // --- only; see route/landmarks.hpp for the admissibility argument) ---
+  // --- ALT landmark lower bounds + bounded-suboptimal knob (see
+  // --- route/landmarks.hpp for the admissibility argument) ---
 
   /// Landmarks for the ALT triangle-inequality bound, max-combined with the
   /// grid bound. 0 disables ALT entirely. When `landmarks` is null the
-  /// tables are built at negotiation start (K+2K Dijkstras); callers on the
+  /// tables are built at negotiation start (2K Dijkstras); callers on the
   /// hot path should pass the fabric's cached tables instead.
   int alt_landmarks = 0;
-  /// Prebuilt base (floor 1) landmark tables for this graph, borrowed for
-  /// the duration of the call — FabricArtifactCache::landmark_tables() is
-  /// the intended source. Ignored unless alt_landmarks > 0; must match the
+  /// Prebuilt landmark tables for this graph, borrowed for the duration of
+  /// the call — FabricArtifactCache::landmark_tables() is the intended
+  /// source. Ignored unless alt_landmarks > 0; must match the
   /// graph and the search's t_move/turn costs.
   const LandmarkTables* landmarks = nullptr;
-  /// Refresh trigger for the congestion-aware ALT tables: when an iteration
-  /// starts with (1 + max accumulated history) >= (strength of the current
-  /// tables) * threshold, the tables are rebuilt over the per-node history
-  /// prices t_move * (1 + history(v)) (same landmark set — rebuilds are
-  /// deterministic). History only grows within a run, so rebuilt tables
-  /// stay admissible for the rest of the negotiation regardless of trigger
-  /// timing; larger thresholds mean fewer (2K-Dijkstra) rebuilds. Requires
-  /// adaptive_bound; must be > 1. The default is deliberately conservative:
-  /// on the saturated bench loads the *present* penalty (factor up to
-  /// present_factor_max) dominates the baked-in history prices, so eager
-  /// rebuilds cut settled nodes by only a few percent while their Dijkstra
-  /// cost roughly doubles the negotiation wall time — 4.0 keeps refreshes
-  /// to runs whose history has genuinely ramped (max history >= 3).
-  double alt_refresh_threshold = 4.0;
   /// Bounded-suboptimal search: A* orders the frontier by g + w*h instead
   /// of g + h (and the bidirectional termination scales accordingly), so
   /// each inner search returns a path of cost <= w * optimal. 1.0 is exact
   /// and bit-identical to the unweighted search (IEEE: h * 1.0 == h); > 1
   /// trades bounded path-quality slack for fewer expansions on saturated
-  /// loads. Applies to AStarArena; ReferenceDijkstra has no heuristic.
+  /// loads.
   double heuristic_weight = 1.0;
 
   /// Unread (the negotiation is serial); kept so callers that set it build.
@@ -162,20 +106,18 @@ struct PathFinderResult {
   long long nodes_settled = 0;
   /// Landmarks the ALT bound actually used (0 when ALT was off).
   int landmarks_used = 0;
-  /// Floored rebuilds of the ALT tables triggered by the refresh threshold.
-  int alt_refreshes = 0;
   /// Echo of options.heuristic_weight (1.0 = exact search).
   double heuristic_weight = 1.0;
 };
 
-/// Per-node negotiated move weights of the optimized engine, kept in sync
-/// with the ledger so the inner search loop prices an edge with one array
-/// read instead of resolving and pricing the entered resource per edge
-/// visit. The structure (node -> resource, resource -> nodes) is rebuilt at
-/// every negotiation start — O(nodes), reusing storage — so a scratch can
-/// be safely reused across batches on *different* graphs; weights refresh
-/// per iteration (O(nodes)) plus per ripped/re-inserted resource (O(cells
-/// of that resource)).
+/// Per-node negotiated move weights, kept in sync with the ledger so the
+/// inner search loop prices an edge with one array read instead of
+/// resolving and pricing the entered resource per edge visit. The structure
+/// (node -> resource, resource -> nodes) is rebuilt at every negotiation
+/// start — O(nodes), reusing storage — so a scratch can be safely reused
+/// across batches on *different* graphs; weights refresh per iteration
+/// (O(nodes)) plus per ripped/re-inserted resource (O(cells of that
+/// resource)).
 class NodeWeightCache {
  public:
   void build(const RoutingGraph& graph, const CongestionLedger& ledger);
@@ -203,17 +145,12 @@ struct PathFinderScratch {
   std::vector<std::uint8_t> net_dirty;
   /// Per-trap endpoint demand buffer of the structural-floor analysis.
   std::vector<int> trap_demand;
-  /// Ledger-synchronised per-node move weights of the optimized engine.
+  /// Ledger-synchronised per-node move weights.
   NodeWeightCache weights;
-  /// Base (floor 1) ALT tables built here when options.alt_landmarks > 0
-  /// but no prebuilt tables were passed; rebuilt per negotiation (the
-  /// scratch may serve different graphs across calls).
+  /// ALT tables built here when options.alt_landmarks > 0 but no prebuilt
+  /// tables were passed; rebuilt per negotiation (the scratch may serve
+  /// different graphs across calls).
   LandmarkTables alt_base;
-  /// History-priced ALT rebuild of the current negotiation (refresh
-  /// trigger); reset at negotiation start.
-  LandmarkTables alt_refreshed;
-  /// Per-node price buffer of the history-priced rebuilds.
-  std::vector<double> alt_price;
 };
 
 /// Routes all nets with negotiated congestion. Nets with from == to receive

@@ -21,7 +21,7 @@
 //
 // The arena is shared by the incremental Router (integer Duration costs),
 // the PathFinder negotiated search (double congestion costs), and the ALT
-// landmark-table builders (route/landmarks.hpp), whose 2K+K Dijkstras per
+// landmark-table builders (route/landmarks.hpp), whose 2K Dijkstras per
 // fabric reuse one double arena across every source — hence the cost-type
 // template. Not thread-safe; one arena per searching thread.
 #pragma once

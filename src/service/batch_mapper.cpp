@@ -214,7 +214,6 @@ std::string batch_record_json(const BatchJobRecord& record) {
       json.field("batch_delay_us", static_cast<long long>(n.total_delay));
       json.field("landmarks_used", n.landmarks_used);
       json.field("heuristic_weight", n.heuristic_weight);
-      json.field("alt_refreshes", n.alt_refreshes);
       json.field("nodes_settled", n.nodes_settled);
       json.end_object();
     }

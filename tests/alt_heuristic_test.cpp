@@ -1,8 +1,8 @@
 // ALT landmark heuristic layer: table determinism, edge-exhaustive
-// consistency of the combined (grid + ALT) potentials for both frontiers at
-// several penalty floors and after a floored refresh, the w = 1.0
-// bit-identity contract of the bounded-suboptimal knob, and the w > 1
-// quality bound.
+// consistency of the combined (grid + ALT) potentials for both frontiers,
+// turn-aware and turn-blind, and of the landmark bound under negotiated
+// (history-priced) weights, the w = 1.0 bit-identity contract of the
+// bounded-suboptimal knob, and the w > 1 quality bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,22 +52,14 @@ TEST(AltTables, SelectionAndTablesAreDeterministicAcrossRebuilds) {
   EXPECT_EQ(first.forward, second.forward);   // bit-identical doubles
   EXPECT_EQ(first.backward, second.backward);
 
-  // A floored refresh reuses the landmark set and is itself deterministic.
+  // Rebuilding over the selected landmark set with a reused arena
+  // reproduces the tables bit for bit.
   SearchArena<double> arena;
-  LandmarkTables floored_a;
-  LandmarkTables floored_b;
-  build_landmark_tables(graph, t_move, turn, 1.6, first.landmarks, arena,
-                        floored_a);
-  build_landmark_tables(graph, t_move, turn, 1.6, first.landmarks, arena,
-                        floored_b);
-  EXPECT_EQ(floored_a.landmarks, first.landmarks);
-  EXPECT_EQ(floored_a.forward, floored_b.forward);
-  EXPECT_EQ(floored_a.backward, floored_b.backward);
-  // Raising the floor can only raise (or keep) every table distance.
-  for (std::size_t i = 0; i < first.forward.size(); ++i) {
-    EXPECT_GE(floored_a.forward[i], first.forward[i]);
-    EXPECT_GE(floored_a.backward[i], first.backward[i]);
-  }
+  LandmarkTables rebuilt;
+  build_landmark_tables(graph, t_move, turn, first.landmarks, arena, rebuilt);
+  EXPECT_EQ(rebuilt.landmarks, first.landmarks);
+  EXPECT_EQ(rebuilt.forward, first.forward);
+  EXPECT_EQ(rebuilt.backward, first.backward);
 }
 
 TEST(AltTables, LandmarksAreDistinctAndSpread) {
@@ -95,16 +87,14 @@ TEST(AltTables, LandmarksAreDistinctAndSpread) {
 // Consistency of the combined potentials (both frontiers)
 // ---------------------------------------------------------------------------
 
-// The searches combine the scaled grid bound and the ALT bound by max. Both
-// must be consistent under the floored edge weights (turn -> turn_cost,
-// move into trap -> t_move, move into channel/junction -> floor * t_move)
-// whenever the tables' build floor is <= the live floor:
+// The searches combine the grid bound and the ALT bound by max. Both must
+// be consistent under the minimum search weights (turn -> turn_cost, move
+// -> t_move; negotiated penalties only raise move weights):
 //   forward frontier:  h_f(u) <= w_min(u,v) + h_f(v)
 //   backward frontier: h_b(v) <= w_min(u,v) + h_b(u)
 // for every un-pruned edge u -> v and every trap endpoint pair.
 void expect_combined_bound_consistent(const RoutingGraph& graph,
-                                      const LandmarkTables& tables,
-                                      double live_floor) {
+                                      const LandmarkTables& tables) {
   const Fabric& fabric = graph.fabric();
   const double t_move = tables.t_move;
   const double turn_cost = tables.turn_cost;
@@ -118,16 +108,14 @@ void expect_combined_bound_consistent(const RoutingGraph& graph,
     const double* end_bwd = tables.backward_row(endpoint_node.index());
     const auto h_forward = [&](RouteNodeId id, const RouteNode& node) {
       return std::max(
-          congestion_scaled_bound(node, endpoint, t_move, turn_cost,
-                                  live_floor, true),
+          grid_lower_bound<double>(node, endpoint, t_move, turn_cost),
           alt_lower_bound(tables.forward_row(id.index()),
                           tables.backward_row(id.index()), end_fwd, end_bwd,
                           k));
     };
     const auto h_backward = [&](RouteNodeId id, const RouteNode& node) {
       return std::max(
-          congestion_scaled_bound(node, endpoint, t_move, turn_cost,
-                                  live_floor, node.is_trap),
+          grid_lower_bound<double>(node, endpoint, t_move, turn_cost),
           alt_lower_bound(end_fwd, end_bwd, tables.forward_row(id.index()),
                           tables.backward_row(id.index()), k));
     };
@@ -141,85 +129,69 @@ void expect_combined_bound_consistent(const RoutingGraph& graph,
         // Edges into non-endpoint traps are pruned by every search.
         if (vnode.is_trap && edge.to != endpoint_node) continue;
         if (unode.is_trap && id != endpoint_node) continue;
-        const double weight =
-            edge.is_turn ? turn_cost
-                         : (vnode.is_trap ? t_move : live_floor * t_move);
+        const double weight = edge.is_turn ? turn_cost : t_move;
         EXPECT_LE(hf_u, weight + h_forward(edge.to, vnode) + kEps)
-            << "forward, floor " << live_floor << ", edge " << u << " -> "
+            << "forward, turn " << turn_cost << ", edge " << u << " -> "
             << edge.to;
         EXPECT_LE(h_backward(edge.to, vnode), weight + hb_u + kEps)
-            << "backward, floor " << live_floor << ", edge " << u << " -> "
+            << "backward, turn " << turn_cost << ", edge " << u << " -> "
             << edge.to;
       }
     }
   }
 }
 
-TEST(AltConsistency, CombinedPotentialsConsistentAtAllFloors) {
+TEST(AltConsistency, CombinedPotentialsConsistent) {
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
-  const LandmarkTables base =
+  const LandmarkTables tables =
       build_landmark_tables(graph, static_cast<double>(params.t_move),
                             static_cast<double>(params.t_turn), 8);
-  // Base (floor 1) tables stay valid at every live floor >= 1.
-  for (const double floor : {1.0, 1.6, 2.5}) {
-    expect_combined_bound_consistent(graph, base, floor);
-  }
+  expect_combined_bound_consistent(graph, tables);
 }
 
-TEST(AltConsistency, RefreshedTablesConsistentAtAndAboveTheirFloor) {
-  // After a floor refresh the tables are rebuilt at the raised floor over
-  // the same landmark set; they must be consistent for every live floor at
-  // or above their build floor (below it the negotiation falls back to the
-  // base tables, so that regime needs no guarantee).
+TEST(AltConsistency, TurnBlindCombinedPotentialsConsistent) {
+  // Turn-blind negotiations price a turn at 0.1 and build their tables at
+  // that cost; the combined potentials must stay consistent there too.
+  const Fabric fabric = make_quale_fabric({2, 2, 4});
+  const RoutingGraph graph(fabric);
+  const TechnologyParams params;
+  const LandmarkTables tables = build_landmark_tables(
+      graph, static_cast<double>(params.t_move), 0.1, 8);
+  expect_combined_bound_consistent(graph, tables);
+}
+
+TEST(AltConsistency, BaseTablesConsistentUnderNegotiatedWeights) {
+  // Negotiated move weights are t_move * present * (1 + history) >= t_move.
+  // The landmark bound from the base tables must stay consistent under
+  // such weights — checked edge-exhaustively under an irregular synthetic
+  // history profile, with every move weight priced at
+  // t_move * (1 + history(v)) of the node it enters.
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
   const double t_move = static_cast<double>(params.t_move);
   const double turn = static_cast<double>(params.t_turn);
-  const LandmarkTables base = build_landmark_tables(graph, t_move, turn, 8);
-  SearchArena<double> arena;
-  LandmarkTables refreshed;
-  build_landmark_tables(graph, t_move, turn, 1.6, base.landmarks, arena,
-                        refreshed);
-  for (const double floor : {1.6, 2.5}) {
-    expect_combined_bound_consistent(graph, refreshed, floor);
-  }
-}
+  const LandmarkTables tables = build_landmark_tables(graph, t_move, turn, 8);
 
-TEST(AltConsistency, HistoryPricedTablesConsistentUnderDominatingWeights) {
-  // The negotiation-loop refresh rebuilds the tables over per-node prices
-  // t_move * (1 + history(v)). The ALT bound from such tables must be
-  // consistent under *any* edge weights that dominate the prices entry for
-  // entry — checked edge-exhaustively at the prices themselves, the tightest
-  // dominating weights (consistency is preserved by raising weights).
-  const Fabric fabric = make_quale_fabric({2, 2, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  const double t_move = static_cast<double>(params.t_move);
-  const double turn = static_cast<double>(params.t_turn);
-  const LandmarkTables base = build_landmark_tables(graph, t_move, turn, 8);
-
-  // Synthetic but irregular history profile, deterministic in the node index.
+  // Deterministic in the node index; traps carry no congestion penalty.
   std::vector<double> price(graph.node_count());
   for (std::size_t v = 0; v < price.size(); ++v) {
     const double history = 0.25 * static_cast<double>((v * 7) % 5);
-    price[v] = t_move * (1.0 + history);
+    price[v] = graph.node(RouteNodeId::from_index(v)).is_trap
+                   ? t_move
+                   : t_move * (1.0 + history);
   }
-  SearchArena<double> arena;
-  LandmarkTables priced;
-  build_landmark_tables_priced(graph, turn, price, base.landmarks, arena,
-                               priced);
-  const int k = priced.k();
+  const int k = tables.k();
   constexpr double kEps = 1e-9;
   for (const Trap& trap : fabric.traps()) {
     const RouteNodeId endpoint = graph.trap_node(trap.id);
-    const double* end_fwd = priced.forward_row(endpoint.index());
-    const double* end_bwd = priced.backward_row(endpoint.index());
+    const double* end_fwd = tables.forward_row(endpoint.index());
+    const double* end_bwd = tables.backward_row(endpoint.index());
     const auto h = [&](RouteNodeId id) {
-      return alt_lower_bound(priced.forward_row(id.index()),
-                             priced.backward_row(id.index()), end_fwd, end_bwd,
+      return alt_lower_bound(tables.forward_row(id.index()),
+                             tables.backward_row(id.index()), end_fwd, end_bwd,
                              k);
     };
     for (std::size_t u = 0; u < graph.node_count(); ++u) {
@@ -227,42 +199,11 @@ TEST(AltConsistency, HistoryPricedTablesConsistentUnderDominatingWeights) {
       if (graph.node(id).is_trap && id != endpoint) continue;
       for (const RouteEdge& edge : graph.edges(id)) {
         if (graph.node(edge.to).is_trap && edge.to != endpoint) continue;
-        const double weight =
-            edge.is_turn ? turn : price[edge.to.index()];
+        const double weight = edge.is_turn ? turn : price[edge.to.index()];
         EXPECT_LE(h(id), weight + h(edge.to) + kEps)
             << "edge " << u << " -> " << edge.to;
       }
     }
-  }
-}
-
-TEST(AltRefresh, HistoryRefreshFiresAndPreservesExactDelays) {
-  // A congested batch with an eager refresh threshold: the history-priced
-  // rebuilds must actually fire and, at w = 1.0, leave the negotiated
-  // outcome identical to the grid-only run — the refreshed bound is still
-  // admissible, so the exact search finds the same-cost paths.
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  const LandmarkTables tables =
-      build_landmark_tables(graph, static_cast<double>(params.t_move),
-                            static_cast<double>(params.t_turn), 8);
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto nets = random_nets(fabric, 20, seed);
-    PathFinderOptions grid;
-    PathFinderOptions alt;
-    alt.alt_landmarks = 8;
-    alt.landmarks = &tables;
-    alt.alt_refresh_threshold = 1.05;
-    const PathFinderResult g = route_nets_negotiated(graph, params, nets,
-                                                     grid);
-    const PathFinderResult a = route_nets_negotiated(graph, params, nets,
-                                                     alt);
-    ASSERT_GE(a.alt_refreshes, 1)
-        << "load too light to ramp history; pick a denser seed";
-    EXPECT_EQ(a.total_delay, g.total_delay) << "seed " << seed;
-    EXPECT_EQ(a.iterations_used, g.iterations_used) << "seed " << seed;
-    EXPECT_EQ(a.converged, g.converged) << "seed " << seed;
   }
 }
 
@@ -338,7 +279,7 @@ TEST(AltSearch, MatchesGridHeuristicOnConvergingNegotiations) {
   // Negotiated batches on pinned converging seeds: different consistent
   // heuristics may resolve equal-cost ties to different paths, but the
   // converged solution quality must coincide. Seeds are pinned to cases
-  // where both variants converge (the PartialRipupTest precedent).
+  // where both variants converge.
   const Fabric fabric = make_quale_fabric({4, 4, 4});
   const RoutingGraph graph(fabric);
   const TechnologyParams params;

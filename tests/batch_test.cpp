@@ -225,7 +225,7 @@ TEST(FabricArtifactCache, BuildsOncePerDistinctFabricLayout) {
 TEST(FabricArtifactCache, LandmarkTablesBuildOncePerDistinctFabric) {
   // The ALT landmark tables ride in the same per-fabric artifact entry as
   // the CSR graph: a whole batch over one fabric layout pays exactly one
-  // table build (2K+K Dijkstras), every other job takes the cache hit.
+  // table build (2K Dijkstras), every other job takes the cache hit.
   const std::vector<Program> corpus = mixed_corpus();
   const Fabric fabric_a1 = make_quale_fabric({4, 4, 4});
   const Fabric fabric_a2 = make_quale_fabric({4, 4, 4});  // same layout

@@ -122,7 +122,6 @@ void expect_identical(const MapResult& reference, const MapResult& other,
     EXPECT_EQ(a.searches_performed, b.searches_performed) << label;
     EXPECT_EQ(a.nodes_settled, b.nodes_settled) << label;
     EXPECT_EQ(a.landmarks_used, b.landmarks_used) << label;
-    EXPECT_EQ(a.alt_refreshes, b.alt_refreshes) << label;
     EXPECT_EQ(a.heuristic_weight, b.heuristic_weight) << label;
     EXPECT_EQ(a.total_delay, b.total_delay) << label;
   }

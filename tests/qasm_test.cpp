@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "qecc/codes.hpp"
@@ -253,6 +256,97 @@ TEST(QasmRobustness, WhitespaceOnlyAndCommentOnlyFilesAreEmptyPrograms) {
     const Program program = parse_qasm(text);
     EXPECT_EQ(program.instruction_count(), 0u) << '"' << text << '"';
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutational fuzzing
+// ---------------------------------------------------------------------------
+
+/// Applies one random mutation to `text`: a bit flip, a byte insertion, a
+/// range deletion, or a splice of a chunk of `donor` over a range of `text`.
+void mutate(std::string& text, const std::string& donor, Rng& rng) {
+  // Bytes that steer mutants toward the parser's token boundaries, plus
+  // arbitrary bytes (NUL and high bytes included).
+  static const std::string kInteresting = "QUBIT C-X,#/\n\r\t 0123456789q-";
+  const auto position = [&](std::size_t size) {
+    return rng.uniform_index(size + 1);
+  };
+  switch (rng.uniform_index(4)) {
+    case 0:  // bit flip
+      if (!text.empty()) {
+        const std::size_t at = rng.uniform_index(text.size());
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform_index(8)));
+      }
+      break;
+    case 1: {  // insert 1-8 bytes
+      const std::size_t count = 1 + rng.uniform_index(8);
+      std::string bytes;
+      for (std::size_t i = 0; i < count; ++i) {
+        bytes.push_back(rng.uniform_index(2) == 0
+                            ? kInteresting[rng.uniform_index(
+                                  kInteresting.size())]
+                            : static_cast<char>(rng.uniform_index(256)));
+      }
+      text.insert(position(text.size()), bytes);
+      break;
+    }
+    case 2: {  // delete a range of up to 16 bytes
+      if (text.empty()) break;
+      const std::size_t at = rng.uniform_index(text.size());
+      text.erase(at, 1 + rng.uniform_index(16));
+      break;
+    }
+    default: {  // splice a donor chunk over a range of up to 16 bytes
+      if (donor.empty()) break;
+      const std::size_t from = rng.uniform_index(donor.size());
+      const std::string chunk = donor.substr(from, 1 + rng.uniform_index(64));
+      const std::size_t at = position(text.size());
+      text.replace(at, rng.uniform_index(17), chunk);
+      break;
+    }
+  }
+}
+
+TEST(QasmFuzz, MutatedInputsParseOrThrowError) {
+  // Seeds: the broken-file corpus plus the six encoders' QASM. Every mutant
+  // must either parse or throw qspr::Error — never crash, hang, or leak a
+  // foreign exception. Fixed seed and iteration count, so a failure
+  // reproduces exactly; the ASan+UBSan build runs this test too.
+  std::vector<std::string> seeds;
+  for (const BrokenQasm& broken : broken_qasm_corpus()) {
+    seeds.push_back(broken.text);
+  }
+  for (const QeccCode code :
+       {QeccCode::Q5_1_3, QeccCode::Q7_1_3, QeccCode::Q9_1_3,
+        QeccCode::Q14_8_3, QeccCode::Q19_1_7, QeccCode::Q23_1_7}) {
+    seeds.push_back(write_qasm(make_encoder(code)));
+  }
+
+  Rng rng(2024);
+  constexpr int kIterations = 2000;
+  int parsed = 0;
+  int rejected = 0;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::string text = seeds[rng.uniform_index(seeds.size())];
+    const std::string& donor = seeds[rng.uniform_index(seeds.size())];
+    const std::size_t mutations = 1 + rng.uniform_index(4);
+    for (std::size_t m = 0; m < mutations; ++m) mutate(text, donor, rng);
+    try {
+      (void)parse_qasm(text, "mutant");
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iteration << ": non-qspr exception "
+                    << e.what() << " on input:\n"
+                    << text;
+    }
+  }
+  // Both outcomes must occur, or the mutator has stopped exercising one
+  // side of the parser.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(parsed + rejected, kIterations);
 }
 
 }  // namespace

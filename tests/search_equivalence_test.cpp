@@ -1,18 +1,26 @@
-// Equivalence and determinism guarantees of the optimized routing core.
+// Search correctness and determinism guarantees of the routing core.
 //
-// The arena-backed A* engine must negotiate the same solution quality as the
-// reference Dijkstra engine (same total delay, same convergence), and the
-// whole pipeline must be bit-for-bit deterministic across runs. The CSR
-// adjacency layout is also checked structurally against the graph
-// invariants the searches rely on.
+// Every negotiated search must return a minimum-cost path: a test-local
+// textbook Dijkstra is the oracle for each search configuration
+// (unidirectional and forced bidirectional, turn-aware and turn-blind, grid
+// bound alone and with ALT landmarks), one uncongested net at a time. The
+// whole pipeline must be bit-for-bit deterministic across runs, the grid
+// bound must be consistent for both frontiers, and the CSR adjacency layout
+// is checked structurally against the graph invariants the searches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fabric/linear_fabric.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "route/heuristic.hpp"
+#include "route/landmarks.hpp"
 #include "route/pathfinder.hpp"
 #include "route/router.hpp"
 
@@ -34,70 +42,159 @@ std::vector<NetRequest> random_nets(const Fabric& fabric, int count,
   return nets;
 }
 
-PathFinderOptions with_engine(PathFinderEngine engine, bool turn_aware) {
+/// Default options with the bidirectional search forced on for every query
+/// (`bidirectional`) or off.
+PathFinderOptions search_options(bool bidirectional) {
   PathFinderOptions options;
-  options.engine = engine;
-  options.turn_aware = turn_aware;
+  options.bidirectional = bidirectional;
+  if (bidirectional) options.bidirectional_min_cells = 0;
   return options;
 }
 
-// Strict negotiation-level equality (total delay, iterations, overuse) is
-// slightly stronger than A* optimality guarantees: both engines find
-// minimum-negotiated-cost paths per query, but equal-cost ties could in
-// principle resolve to paths with different footprints and steer later
-// iterations apart. The fabrics and seeds here are fixed, so the check is
-// deterministic; if a future fabric/seed trips only the strict fields while
-// per-query costs still match, weaken those assertions — that is a tie
-// artifact, not an engine bug.
-void expect_equivalent(const Fabric& fabric, const std::vector<NetRequest>& nets,
-                       bool turn_aware) {
+// ---------------------------------------------------------------------------
+// Single-search oracle
+// ---------------------------------------------------------------------------
+
+/// Selection cost of `edge` for a net routed alone: every congestion
+/// penalty is 1, so moves cost t_move and turns the turn cost.
+double uncongested_weight(const RouteEdge& edge, double t_move,
+                          double turn_cost) {
+  return edge.is_turn ? turn_cost : t_move;
+}
+
+/// Textbook Dijkstra (binary heap with lazy deletion, fresh per-query
+/// state) from trap `from` to trap `to` under the searches' one pruning
+/// rule: a move may not enter any trap but the target.
+double oracle_distance(const RoutingGraph& graph, TrapId from, TrapId to,
+                       double t_move, double turn_cost) {
+  const RouteNodeId source = graph.trap_node(from);
+  const RouteNodeId target = graph.trap_node(to);
+  std::vector<double> dist(graph.node_count(),
+                           std::numeric_limits<double>::infinity());
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[source.index()] = 0.0;
+  heap.push({0.0, source.index()});
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[u]) continue;
+    if (u == target.index()) return d;
+    for (const RouteEdge& edge : graph.edges(RouteNodeId::from_index(u))) {
+      if (!edge.is_turn && graph.node(edge.to).is_trap && edge.to != target) {
+        continue;
+      }
+      const double candidate =
+          d + uncongested_weight(edge, t_move, turn_cost);
+      if (candidate < dist[edge.to.index()]) {
+        dist[edge.to.index()] = candidate;
+        heap.push({candidate, edge.to.index()});
+      }
+    }
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+/// Recomputes the selection cost of a returned node path edge by edge,
+/// checking that it is a legal search result on the way: it runs from the
+/// source trap to the target trap along graph edges and enters no other
+/// trap.
+double recomputed_cost(const RoutingGraph& graph,
+                       const std::vector<RouteNodeId>& nodes, TrapId from,
+                       TrapId to, double t_move, double turn_cost) {
+  EXPECT_FALSE(nodes.empty());
+  if (nodes.empty()) return -1.0;
+  EXPECT_EQ(nodes.front(), graph.trap_node(from));
+  EXPECT_EQ(nodes.back(), graph.trap_node(to));
+  double cost = 0.0;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    const RouteEdge* step = nullptr;
+    for (const RouteEdge& edge : graph.edges(nodes[i - 1])) {
+      if (edge.to == nodes[i]) step = &edge;
+    }
+    EXPECT_NE(step, nullptr) << "no edge " << nodes[i - 1] << " -> "
+                             << nodes[i];
+    if (step == nullptr) return -1.0;
+    if (i + 1 < nodes.size()) {
+      EXPECT_TRUE(step->is_turn || !graph.node(nodes[i]).is_trap)
+          << "path passes through trap node " << nodes[i];
+    }
+    cost += uncongested_weight(*step, t_move, turn_cost);
+  }
+  return cost;
+}
+
+/// `count` trap pairs drawn from the whole fabric, plus the
+/// first-to-last-trap haul.
+std::vector<NetRequest> sampled_pairs(const Fabric& fabric, int count,
+                                      std::uint64_t seed) {
+  std::vector<NetRequest> pairs = {
+      {fabric.traps().front().id, fabric.traps().back().id}};
+  Rng rng(seed);
+  const std::size_t n = fabric.traps().size();
+  while (static_cast<int>(pairs.size()) <= count) {
+    const TrapId from = fabric.traps()[rng.uniform_index(n)].id;
+    const TrapId to = fabric.traps()[rng.uniform_index(n)].id;
+    if (from != to) pairs.push_back({from, to});
+  }
+  return pairs;
+}
+
+/// One net at a time at max_iterations = 1: every configuration of the
+/// search must return a path whose recomputed cost is the oracle distance.
+void expect_searches_match_oracle(const Fabric& fabric, int pairs) {
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
-  const PathFinderResult reference = route_nets_negotiated(
-      graph, params, nets,
-      with_engine(PathFinderEngine::ReferenceDijkstra, turn_aware));
-  const PathFinderResult optimized = route_nets_negotiated(
-      graph, params, nets,
-      with_engine(PathFinderEngine::AStarArena, turn_aware));
-
-  EXPECT_EQ(optimized.total_delay, reference.total_delay);
-  EXPECT_EQ(optimized.converged, reference.converged);
-  EXPECT_EQ(optimized.iterations_used, reference.iterations_used);
-  EXPECT_EQ(optimized.overused_resources, reference.overused_resources);
-}
-
-TEST(SearchEquivalenceTest, LinearFabricMatchesReference) {
-  const Fabric fabric = make_linear_fabric(10);
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    expect_equivalent(fabric, random_nets(fabric, 6, seed),
-                      /*turn_aware=*/true);
+  const double t_move = static_cast<double>(params.t_move);
+  const auto nets = sampled_pairs(fabric, pairs, 29);
+  for (const bool turn_aware : {true, false}) {
+    const double turn_cost =
+        turn_aware ? static_cast<double>(params.t_turn) : 0.1;
+    const LandmarkTables tables =
+        build_landmark_tables(graph, t_move, turn_cost, 8);
+    std::vector<double> oracle;
+    for (const NetRequest& net : nets) {
+      oracle.push_back(
+          oracle_distance(graph, net.from, net.to, t_move, turn_cost));
+    }
+    for (const bool bidirectional : {false, true}) {
+      for (const int landmarks : {0, 8}) {
+        PathFinderOptions options = search_options(bidirectional);
+        options.max_iterations = 1;
+        options.turn_aware = turn_aware;
+        options.alt_landmarks = landmarks;
+        if (landmarks > 0) options.landmarks = &tables;
+        for (std::size_t i = 0; i < nets.size(); ++i) {
+          const NetRequest& net = nets[i];
+          const PathFinderResult result =
+              route_nets_negotiated(graph, params, {net}, options);
+          ASSERT_EQ(result.searches_performed, 1);
+          const double cost =
+              recomputed_cost(graph, result.paths[0].nodes, net.from,
+                              net.to, t_move, turn_cost);
+          EXPECT_NEAR(cost, oracle[i], 1e-9)
+              << "turn_aware=" << turn_aware
+              << " bidirectional=" << bidirectional
+              << " landmarks=" << landmarks << " net " << net.from << " -> "
+              << net.to;
+        }
+      }
+    }
   }
 }
 
-TEST(SearchEquivalenceTest, QualeFabricMatchesReference) {
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  for (const std::uint64_t seed : {3u, 11u, 42u}) {
-    expect_equivalent(fabric, random_nets(fabric, 8, seed),
-                      /*turn_aware=*/true);
-  }
+TEST(SearchOracleTest, LinearFabricSearchesAreOptimal) {
+  expect_searches_match_oracle(make_linear_fabric(10), 16);
 }
 
-TEST(SearchEquivalenceTest, TurnUnawareModeMatchesReference) {
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  expect_equivalent(fabric, random_nets(fabric, 8, 5),
-                    /*turn_aware=*/false);
+TEST(SearchOracleTest, QualeFabricSearchesAreOptimal) {
+  expect_searches_match_oracle(make_quale_fabric({3, 3, 4}), 24);
 }
 
-TEST(SearchEquivalenceTest, ContendedNetsStillMatchReference) {
-  // All nets share one corridor so negotiation must actually iterate.
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  std::vector<NetRequest> nets;
-  const TrapId left = fabric.trap_at({1, 1});
-  const TrapId right = fabric.trap_at({1, 7});
-  ASSERT_TRUE(left.is_valid());
-  ASSERT_TRUE(right.is_valid());
-  for (int i = 0; i < 4; ++i) nets.push_back({left, right});
-  expect_equivalent(fabric, nets, /*turn_aware=*/true);
+TEST(SearchOracleTest, PaperFabricSearchesAreOptimal) {
+  // Long hauls across the 45x85 fabric: the regime the bidirectional
+  // search and the landmark bound exist for.
+  expect_searches_match_oracle(make_paper_fabric(), 24);
 }
 
 TEST(SearchDeterminismTest, RepeatedRunsProduceIdenticalPaths) {
@@ -164,83 +261,9 @@ TEST(SearchDeterminismTest, RouterArenaReuseDoesNotPerturbResults) {
   }
 }
 
-PathFinderOptions with_mechanisms(bool partial, bool adaptive, bool bidi) {
-  PathFinderOptions options;
-  options.partial_ripup = partial;
-  options.adaptive_bound = adaptive;
-  options.bidirectional = bidi;
-  if (bidi) options.bidirectional_min_cells = 0;  // force it for every query
-  // Pin the classic negotiation schedule so each mechanism is isolated
-  // against the same fixed trajectory (the adaptive schedule is ablated
-  // separately in the saturated_overload bench suite).
-  options.adaptive_schedule = false;
-  return options;
-}
-
-TEST(PartialRipupTest, MatchesFullRipupOnConvergingCases) {
-  // Partial rip-up only skips nets whose paths are conflict-free; on every
-  // converging suite the negotiated solution must land on the same total
-  // delay as the classic full-sweep loop (the trajectories may visit
-  // different intermediate states, but the converged result may not differ).
-  // Seeds are pinned to cases where the full-sweep loop converges. (On rare
-  // other seeds partial rip-up converges to an equal-or-better delay via a
-  // different tie resolution — e.g. {3,3,4} seed 47 lands 284 vs 320 — which
-  // is a solution-quality difference, not an equivalence bug.)
-  struct Case {
-    Fabric fabric;
-    int nets;
-    std::vector<std::uint64_t> seeds;
-  };
-  const std::vector<Case> cases = {
-      {make_quale_fabric({3, 3, 4}), 8, {1u, 2u, 3u}},
-      {make_quale_fabric({4, 4, 4}), 10, {1u, 2u, 4u}},
-  };
-  for (const Case& c : cases) {
-    const RoutingGraph graph(c.fabric);
-    const TechnologyParams params;
-    for (const std::uint64_t seed : c.seeds) {
-      const auto nets = random_nets(c.fabric, c.nets, seed);
-      const PathFinderResult full = route_nets_negotiated(
-          graph, params, nets,
-          with_mechanisms(/*partial=*/false, false, false));
-      const PathFinderResult partial = route_nets_negotiated(
-          graph, params, nets,
-          with_mechanisms(/*partial=*/true, false, false));
-      ASSERT_TRUE(full.converged) << "pick a converging seed";
-      ASSERT_TRUE(partial.converged) << "seed " << seed;
-      EXPECT_EQ(partial.total_delay, full.total_delay) << "seed " << seed;
-      // Partial rip-up must actually skip work once nets settle.
-      EXPECT_LE(partial.searches_performed,
-                static_cast<long long>(nets.size()) * partial.iterations_used);
-    }
-  }
-}
-
-TEST(BidirectionalSearchTest, MatchesUnidirectionalPathCostsUncontended) {
-  // One net at a time (no congestion): selection cost equals physical delay,
-  // so equal optimal costs mean equal total_delay per path. Includes the
-  // corner-to-corner hauls the bidirectional search exists for.
-  const Fabric fabric = make_paper_fabric();
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  std::vector<NetRequest> pairs = {
-      {fabric.traps().front().id, fabric.traps().back().id},
-  };
-  const auto random = random_nets(fabric, 12, 97);
-  pairs.insert(pairs.end(), random.begin(), random.end());
-  for (const NetRequest& net : pairs) {
-    const PathFinderResult uni = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, false, false));
-    const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, false, true));
-    EXPECT_EQ(bidi.total_delay, uni.total_delay)
-        << net.from << " -> " << net.to;
-  }
-}
-
 TEST(BidirectionalSearchTest, NegotiatedBatchesStayLegalAndConverge) {
   // Under contention equal-cost ties may resolve to different paths, so the
-  // cross-engine guarantee is per-query cost optimality, not identical
+  // cross-search guarantee is per-query cost optimality, not identical
   // trajectories: the bidirectional negotiation must still converge with a
   // capacity-legal solution wherever the unidirectional one does.
   const Fabric fabric = make_quale_fabric({4, 4, 4});
@@ -250,10 +273,10 @@ TEST(BidirectionalSearchTest, NegotiatedBatchesStayLegalAndConverge) {
   // otherwise steer the negotiation to different converged solutions).
   for (const std::uint64_t seed : {1u, 2u, 4u}) {
     const auto nets = random_nets(fabric, 10, seed);
-    const PathFinderResult uni = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, false, false));
-    const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, false, true));
+    const PathFinderResult uni =
+        route_nets_negotiated(graph, params, nets, search_options(false));
+    const PathFinderResult bidi =
+        route_nets_negotiated(graph, params, nets, search_options(true));
     ASSERT_TRUE(uni.converged);
     EXPECT_TRUE(bidi.converged) << "seed " << seed;
     EXPECT_EQ(bidi.total_delay, uni.total_delay) << "seed " << seed;
@@ -318,50 +341,43 @@ TEST(HeuristicTest, GridLowerBoundIsConsistentAcrossAllEdges) {
   }
 }
 
-TEST(HeuristicTest, CongestionScaledBoundIsConsistentForBothFrontiers) {
-  // The congestion-adaptive bound must stay consistent under the *floored*
-  // edge weights (every move into a resource costs >= floor * t_move, moves
-  // into traps exactly t_move, turns exactly turn_cost):
+TEST(HeuristicTest, GridBoundIsConsistentForBothFrontiers) {
+  // The negotiated searches price every move at >= t_move and every turn at
+  // exactly turn_cost, so the grid bound must be consistent under those
+  // minimum weights for both frontiers:
   //   forward frontier:  h_f(u) <= w_min(u,v) + h_f(v)
   //   backward frontier: h_b(v) <= w_min(u,v) + h_b(u)
-  // for every edge u -> v and every trap endpoint. Consistency plus
-  // h(endpoint) == 0 implies admissibility, and it is what lets both A*
-  // frontiers treat settled nodes as final.
+  // for every edge u -> v and every trap endpoint, turn-aware and
+  // turn-blind. Consistency plus h(endpoint) == 0 implies admissibility,
+  // and it is what lets both A* frontiers treat settled nodes as final.
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
   const double t_move = static_cast<double>(params.t_move);
-  const double turn_cost = static_cast<double>(params.t_turn);
   constexpr double kEps = 1e-9;
 
-  for (const double floor : {1.0, 1.6, 2.5}) {
+  for (const double turn_cost : {static_cast<double>(params.t_turn), 0.1}) {
     for (const Trap& trap : fabric.traps()) {
       const Position endpoint = trap.position;
       const RouteNodeId endpoint_node = graph.trap_node(trap.id);
       for (std::size_t u = 0; u < graph.node_count(); ++u) {
         const RouteNodeId id = RouteNodeId::from_index(u);
         const RouteNode& unode = graph.node(id);
-        const double hf_u = congestion_scaled_bound(
-            unode, endpoint, t_move, turn_cost, floor, true);
-        const double hb_u = congestion_scaled_bound(
-            unode, endpoint, t_move, turn_cost, floor, unode.is_trap);
+        const double h_u =
+            grid_lower_bound<double>(unode, endpoint, t_move, turn_cost);
         for (const RouteEdge& edge : graph.edges(id)) {
           const RouteNode& vnode = graph.node(edge.to);
           // Edges into non-endpoint traps are pruned by every search.
           if (vnode.is_trap && edge.to != endpoint_node) continue;
           if (unode.is_trap && id != endpoint_node) continue;
-          const double weight =
-              edge.is_turn ? turn_cost
-                           : (vnode.is_trap ? t_move : floor * t_move);
-          const double hf_v = congestion_scaled_bound(
-              vnode, endpoint, t_move, turn_cost, floor, true);
-          const double hb_v = congestion_scaled_bound(
-              vnode, endpoint, t_move, turn_cost, floor, vnode.is_trap);
-          EXPECT_LE(hf_u, weight + hf_v + kEps)
-              << "forward, floor " << floor << ", edge " << u << " -> "
+          const double weight = edge.is_turn ? turn_cost : t_move;
+          const double h_v =
+              grid_lower_bound<double>(vnode, endpoint, t_move, turn_cost);
+          EXPECT_LE(h_u, weight + h_v + kEps)
+              << "forward, turn " << turn_cost << ", edge " << u << " -> "
               << edge.to;
-          EXPECT_LE(hb_v, weight + hb_u + kEps)
-              << "backward, floor " << floor << ", edge " << u << " -> "
+          EXPECT_LE(h_v, weight + h_u + kEps)
+              << "backward, turn " << turn_cost << ", edge " << u << " -> "
               << edge.to;
         }
       }
