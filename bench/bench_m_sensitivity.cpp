@@ -9,33 +9,32 @@ int main() {
   qspr_bench::print_header("MVFB sensitivity to the multi-start count m");
 
   const Fabric fabric = make_paper_fabric();
-  const RoutingGraph routing(fabric);
+  MappingEngine engine;
   const int sweep[] = {1, 5, 10, 25, 50, 100};
 
   for (const QeccCode code : {QeccCode::Q9_1_3, QeccCode::Q23_1_7}) {
     const Program program = make_encoder(code);
-    const DependencyGraph graph = DependencyGraph::build(program);
-    const ExecutionOptions exec;
-    const auto rank = make_schedule_rank(graph, exec.tech);
-
     std::cout << code_name(code) << " (ideal baseline "
-              << graph.critical_path_latency(exec.tech) << " us)\n";
+              << DependencyGraph::build(program).critical_path_latency(
+                     TechnologyParams{})
+              << " us)\n";
     TextTable table({"m", "MVFB latency", "MVFB runs", "MC latency (same "
                      "budget)", "MVFB wins"});
     Duration previous = kInfiniteDuration;
     bool monotone = true;
     for (const int m : sweep) {
-      MvfbPlacer placer(graph, fabric, routing, rank, exec,
-                        MvfbOptions{m, 3, 64, 1});
-      const MvfbResult mvfb = placer.place_and_execute();
-      const MonteCarloResult mc = monte_carlo_place_and_execute(
-          graph, fabric, routing, rank, exec, mvfb.total_runs, 1);
-      table.add_row({std::to_string(m), std::to_string(mvfb.best_latency),
-                     std::to_string(mvfb.total_runs),
-                     std::to_string(mc.best_latency),
-                     mvfb.best_latency <= mc.best_latency ? "yes" : "no"});
-      if (mvfb.best_latency > previous) monotone = false;
-      previous = mvfb.best_latency;
+      MapperOptions options;
+      options.mvfb_seeds = m;
+      const MapResult mvfb = engine.map(program, fabric, options);
+      options.placer = PlacerKind::MonteCarlo;
+      options.monte_carlo_trials = mvfb.placement_runs;
+      const MapResult mc = engine.map(program, fabric, options);
+      table.add_row({std::to_string(m), std::to_string(mvfb.latency),
+                     std::to_string(mvfb.placement_runs),
+                     std::to_string(mc.latency),
+                     mvfb.latency <= mc.latency ? "yes" : "no"});
+      if (mvfb.latency > previous) monotone = false;
+      previous = mvfb.latency;
     }
     std::cout << table.to_string();
     std::cout << "latency non-increasing in m: " << (monotone ? "yes" : "no")

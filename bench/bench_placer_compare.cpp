@@ -12,6 +12,7 @@ int main() {
 
   const Fabric fabric = make_paper_fabric();
   const RoutingGraph routing(fabric);
+  MappingEngine engine;
 
   TextTable table({"Circuit", "Center", "Connectivity", "MC (matched)",
                    "MVFB m=25", "MVFB gain vs center"});
@@ -28,21 +29,22 @@ int main() {
     const Duration connectivity =
         sim.run(connectivity_placement(fabric, program)).latency;
 
-    MvfbPlacer mvfb_placer(graph, fabric, routing, rank, exec,
-                           MvfbOptions{25, 3, 64, 1});
-    const MvfbResult mvfb = mvfb_placer.place_and_execute();
-    const MonteCarloResult mc = monte_carlo_place_and_execute(
-        graph, fabric, routing, rank, exec, mvfb.total_runs, 1);
+    MapperOptions options;
+    options.mvfb_seeds = 25;
+    const MapResult mvfb = engine.map(program, fabric, options);
+    options.placer = PlacerKind::MonteCarlo;
+    options.monte_carlo_trials = mvfb.placement_runs;
+    const MapResult mc = engine.map(program, fabric, options);
 
     totals[0] += center;
     totals[1] += connectivity;
-    totals[2] += mc.best_latency;
-    totals[3] += mvfb.best_latency;
+    totals[2] += mc.latency;
+    totals[3] += mvfb.latency;
     table.add_row({code_name(paper.code), std::to_string(center),
                    std::to_string(connectivity),
-                   std::to_string(mc.best_latency),
-                   std::to_string(mvfb.best_latency),
-                   qspr_bench::improvement(center, mvfb.best_latency)});
+                   std::to_string(mc.latency),
+                   std::to_string(mvfb.latency),
+                   qspr_bench::improvement(center, mvfb.latency)});
   }
   table.add_separator();
   table.add_row({"total", std::to_string(totals[0]),

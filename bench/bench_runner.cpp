@@ -158,7 +158,7 @@ PathFinderSample run_pathfinder(const std::string& name,
                                 const TechnologyParams& params,
                                 const std::vector<NetRequest>& nets,
                                 const PathFinderOptions& options,
-                                int repetitions) {
+                                int repetitions, int blocks = 1) {
   PathFinderSample sample;
   sample.name = name;
   sample.config = config;
@@ -174,9 +174,10 @@ PathFinderSample run_pathfinder(const std::string& name,
   // cache-aliasing addresses and skew an arena-based sample by tens of
   // percent depending on what the earlier suites left on the heap.
   static PathFinderScratch scratch;
-  sample.ns_per_rep = qspr_bench::time_ns_per_rep(repetitions, [&] {
-    result = route_nets_negotiated(graph, params, nets, options, scratch);
-  });
+  sample.ns_per_rep =
+      qspr_bench::median_ns_per_rep(blocks, repetitions, [&] {
+        result = route_nets_negotiated(graph, params, nets, options, scratch);
+      });
   // One nominal "query" is one net in one negotiation iteration; with
   // partial rip-up the searches actually performed can be fewer (recorded
   // separately as `searches_per_rep`).
@@ -420,9 +421,12 @@ int main(int argc, char** argv) {
                                          : std::vector<int>{8, 16, 32};
     // Smoke runs feed the perf gate: light loads need more repetitions to
     // climb out of timer noise, heavy ones are stable (and slow) at two.
+    // Each smoke row is the median of 5 such blocks, so one block slowed by
+    // a shared runner cannot trip the 2x gate.
     const auto reps_for = [&](int load) {
       return smoke ? (load <= 16 ? 30 : 2) : 25;
     };
+    const int blocks = smoke ? 5 : 1;
 
     TextTable table({"Nets", "ns/query", "ns/rep", "iters", "converged",
                      "delay (us)"});
@@ -431,7 +435,7 @@ int main(int argc, char** argv) {
       const auto nets = central_nets(fabric, load, 11);
       const PathFinderSample sample = run_pathfinder(
           "pathfinder_" + std::to_string(load) + "nets", "all", graph, params,
-          nets, PathFinderOptions{}, reps_for(load));
+          nets, PathFinderOptions{}, reps_for(load), blocks);
       table.add_row({std::to_string(load),
                      format_fixed(sample.ns_per_query, 0),
                      format_fixed(sample.ns_per_rep, 0),
@@ -683,7 +687,7 @@ int main(int argc, char** argv) {
         options.jobs = jobs;
         const MapResult result = map_program(program, fabric, options);
         if (jobs == 1) {
-          serial_ms = result.cpu_ms;
+          serial_ms = result.wall_ms;
           serial_latency = result.latency;
           serial_placement = result.initial_placement;
           serial_final = result.final_placement;
@@ -694,14 +698,14 @@ int main(int argc, char** argv) {
                                result.final_placement == serial_final &&
                                result.trace.to_string() == serial_trace;
         const double trials_per_sec =
-            result.cpu_ms > 0.0
+            result.wall_ms > 0.0
                 ? static_cast<double>(result.placement_runs) * 1000.0 /
-                      result.cpu_ms
+                      result.wall_ms
                 : 0.0;
         const double speedup =
-            result.cpu_ms > 0.0 ? serial_ms / result.cpu_ms : 0.0;
+            result.wall_ms > 0.0 ? serial_ms / result.wall_ms : 0.0;
         table.add_row({flow.name, std::to_string(result.placement_runs),
-                       std::to_string(jobs), format_fixed(result.cpu_ms, 1),
+                       std::to_string(jobs), format_fixed(result.wall_ms, 1),
                        format_fixed(trials_per_sec, 1),
                        format_fixed(speedup, 2) + "x",
                        identical ? "yes" : "NO"});
@@ -710,7 +714,7 @@ int main(int argc, char** argv) {
             .field("trials", flow.trials)
             .field("placement_runs", static_cast<long long>(result.placement_runs))
             .field("jobs", jobs)
-            .field("wall_ms", result.cpu_ms)
+            .field("wall_ms", result.wall_ms)
             .field("trial_cpu_ms", result.trial_cpu_ms)
             .field("trials_per_sec", trials_per_sec)
             .field("speedup_vs_serial", speedup)

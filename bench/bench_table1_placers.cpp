@@ -21,31 +21,32 @@ struct Row {
   int mc_trials = 0;
 };
 
-Row run_case(const Program& program, const Fabric& fabric,
-             const RoutingGraph& routing, int m) {
-  const DependencyGraph graph = DependencyGraph::build(program);
-  const ExecutionOptions exec;  // QSPR physics
-  const auto rank = make_schedule_rank(graph, exec.tech);
+MapResult map_with(MappingEngine& engine, const Program& program,
+                   const Fabric& fabric, PlacerKind placer, int budget) {
+  MapperOptions options;  // QSPR physics and schedule
+  options.placer = placer;
+  options.mvfb_seeds = budget;
+  options.monte_carlo_trials = budget;
+  return engine.map(program, fabric, options);
+}
 
+Row run_case(MappingEngine& engine, const Program& program,
+             const Fabric& fabric, int m) {
   Row row;
   {
-    Stopwatch watch;
-    MvfbPlacer placer(graph, fabric, routing, rank, exec,
-                      MvfbOptions{m, 3, 64, 1});
-    const MvfbResult result = placer.place_and_execute();
-    row.mvfb_ms = watch.elapsed_ms();
-    row.mvfb_latency = result.best_latency;
-    row.mvfb_runs = result.total_runs;
+    const MapResult result =
+        map_with(engine, program, fabric, PlacerKind::Mvfb, m);
+    row.mvfb_ms = result.wall_ms;
+    row.mvfb_latency = result.latency;
+    row.mvfb_runs = result.placement_runs;
   }
   {
     // 2x the MVFB iterations = as many full passes as MVFB performed.
-    const int trials = row.mvfb_runs;
-    Stopwatch watch;
-    const MonteCarloResult result = monte_carlo_place_and_execute(
-        graph, fabric, routing, rank, exec, trials, 1);
-    row.mc_ms = watch.elapsed_ms();
-    row.mc_latency = result.best_latency;
-    row.mc_trials = result.trials;
+    const MapResult result = map_with(engine, program, fabric,
+                                      PlacerKind::MonteCarlo, row.mvfb_runs);
+    row.mc_ms = result.wall_ms;
+    row.mc_latency = result.latency;
+    row.mc_trials = result.placement_runs;
   }
   return row;
 }
@@ -57,7 +58,7 @@ int main() {
       "Table 1 - MVFB vs Monte Carlo placer (m = 25 and m = 100)");
 
   const Fabric fabric = make_paper_fabric();
-  const RoutingGraph routing(fabric);
+  MappingEngine engine;  // one worker, artifacts shared across rows
 
   TextTable table({"Circuit", "Heuristic", "m=25 latency", "m=25 cpu (ms)",
                    "m=25 runs", "m=100 latency", "m=100 cpu (ms)",
@@ -66,8 +67,8 @@ int main() {
   int mvfb_wins = 0;
   for (const PaperNumbers& paper : paper_benchmarks()) {
     const Program program = make_encoder(paper.code);
-    const Row m25 = run_case(program, fabric, routing, 25);
-    const Row m100 = run_case(program, fabric, routing, 100);
+    const Row m25 = run_case(engine, program, fabric, 25);
+    const Row m100 = run_case(engine, program, fabric, 100);
 
     table.add_separator();
     table.add_row({code_name(paper.code), "MVFB",

@@ -4,9 +4,11 @@
 // shared with the batch mapping service's JSONL output.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/qspr.hpp"
@@ -37,6 +39,18 @@ double time_ns_per_rep(int reps, Fn&& fn) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double, std::nano>(elapsed).count() /
          static_cast<double>(reps);
+}
+
+/// Median of `blocks` timings of time_ns_per_rep(reps, fn): one block
+/// slowed by a descheduled runner or a noisy neighbour cannot move it.
+template <typename Fn>
+double median_ns_per_rep(int blocks, int reps, Fn&& fn) {
+  std::vector<double> samples;
+  for (int block = 0; block < blocks; ++block) {
+    samples.push_back(time_ns_per_rep(reps, fn));
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 }  // namespace qspr_bench

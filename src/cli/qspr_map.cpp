@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
               << "moves/turns:      " << result.stats.moves << "/"
               << result.stats.turns << "\n"
               << "placement runs:   " << result.placement_runs << "\n"
-              << "cpu time:         " << format_fixed(result.cpu_ms, 1)
+              << "cpu time:         " << format_fixed(result.wall_ms, 1)
               << " ms wall (" << result.jobs << " jobs on " << hardware
               << " hardware threads, "
               << format_fixed(result.trial_cpu_ms, 1)

@@ -1,14 +1,13 @@
 #include "core/engine.hpp"
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
-#include "core/monte_carlo.hpp"
-#include "core/mvfb.hpp"
-#include "core/placer.hpp"
+#include "core/placement_trials.hpp"
 #include "core/scheduler.hpp"
 #include "route/pathfinder.hpp"
 
@@ -101,8 +100,6 @@ NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
 /// submitted trial bodies capture (QIDG, rank, simulators) stays stable
 /// while the handle moves around.
 struct MappingEngine::PendingState {
-  enum class Flow : std::uint8_t { Ideal, Single, MonteCarlo, Mvfb };
-
   MapJob job;
   Stopwatch stopwatch;
   std::shared_ptr<const FabricArtifacts> artifacts;
@@ -112,26 +109,11 @@ struct MappingEngine::PendingState {
   /// Pre-filled by begin() (kind, jobs, ideal latency); completed by
   /// finish().
   MapResult result;
-  Flow flow = Flow::Ideal;
-
-  // Flow::Mvfb
-  std::unique_ptr<MvfbPlacer> mvfb;
-  MvfbPlacer::AsyncRun mvfb_run;
-  // Flow::MonteCarlo
-  MonteCarloRun mc_run;
-  // Flow::Single — one execution submitted as a 1-index job.
-  struct SingleState {
-    Placement initial;
-    ExecutionResult execution;
-    double trial_cpu_ms = 0.0;
-  };
-  std::shared_ptr<SingleState> single;
-  Executor::Job single_job;
-
   /// Program-derived setup (QIDG, rank, trial submission) runs here so batch
-  /// staging overlaps it with other jobs' trials. The flow-job handles above
-  /// are written by this job; wait on it before reading them.
+  /// staging overlaps it with other jobs' trials. `trials` is written by
+  /// this job; wait on it before reading it.
   Executor::Job setup_job;
+  std::optional<PlacementTrials> trials;
 
   Executor* executor = nullptr;
   bool collected = false;
@@ -140,16 +122,14 @@ struct MappingEngine::PendingState {
     if (collected || executor == nullptr) return;
     // Drain an abandoned job so the trial bodies' captures (which point
     // into this object) cannot outlive it. Failures were never collected;
-    // swallow them. The setup job goes first: waiting it makes the flow-job
-    // handles it submitted visible and valid.
+    // swallow them. The setup job goes first: waiting it makes the trials
+    // it submitted visible.
     try {
       if (setup_job.valid()) executor->wait(setup_job);
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
     try {
-      if (mvfb_run.valid()) executor->wait(mvfb_run.job());
-      if (mc_run.valid()) executor->wait(mc_run.job());
-      if (single_job.valid()) executor->wait(single_job);
+      if (trials && trials->job().valid()) executor->wait(trials->job());
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }
@@ -206,84 +186,39 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   result.kind = options.kind;
   result.jobs = executor_.worker_count();
 
-  // Flow selection and fabric-artifact resolution stay on the calling
-  // thread — the cache is the only reader of the caller's fabric, so the
-  // begin()-reads-the-fabric contract holds. The program-derived setup
-  // (QIDG build, critical path, schedule rank) runs as an executor job that
-  // then nested-submits the placement trials, so a batch coordinator
-  // staging job N+1 overlaps its setup with job N's trials.
+  // Fabric-artifact resolution stays on the calling thread — the cache is
+  // the only reader of the caller's fabric, so the begin()-reads-the-fabric
+  // contract holds. The program-derived setup (QIDG build, critical path,
+  // schedule rank) runs as an executor job that then nested-submits the
+  // placement trials, so a batch coordinator staging job N+1 overlaps its
+  // setup with job N's trials.
   if (options.kind == MapperKind::IdealBaseline) {
     // The ideal bound needs no routing artifacts at all — don't build any.
-    state->flow = PendingState::Flow::Ideal;
     result.placement_runs = 0;
   } else {
     state->artifacts = cache_.get(*job.fabric);
     state->exec = execution_options_for(options);
-    if (options.kind != MapperKind::Qspr ||
-        options.placer == PlacerKind::Center) {
-      // Single-placement flows: QUALE / QPOS (center placement, §I) or a
-      // QSPR ablation with the center placer.
-      state->flow = PendingState::Flow::Single;
-      state->single = std::make_shared<PendingState::SingleState>();
-    } else if (options.placer == PlacerKind::MonteCarlo) {
-      state->flow = PendingState::Flow::MonteCarlo;
-    } else {
-      state->flow = PendingState::Flow::Mvfb;
-    }
   }
 
   state->setup_job = executor_.submit(1, [s = state.get()](std::size_t, int) {
-    const CancelToken cancel = s->job.cancel;
-    cancel.check();
+    s->job.cancel.check();
     const ThreadCpuTimer setup_watch;
     const MapperOptions& opts = s->job.options;
     s->qidg = DependencyGraph::build(*s->job.program);
     s->result.ideal_latency = s->qidg.critical_path_latency(opts.tech);
-    if (s->flow == PendingState::Flow::Ideal) {
+    if (opts.kind == MapperKind::IdealBaseline) {
       s->result.latency = s->result.ideal_latency;
       s->result.setup_ms = setup_watch.elapsed_ms();
       return;
     }
-    const FabricArtifacts& artifacts = *s->artifacts;
     s->rank = make_schedule_rank(s->qidg, s->exec.tech,
                                  schedule_options_for(opts));
-    // Trial submission is the job's last act, and nothing below can throw
-    // after a flow job exists: when finish()'s setup wait rethrows, no trial
-    // handle was ever created.
-    switch (s->flow) {
-      case PendingState::Flow::Ideal:
-        break;  // handled above
-      case PendingState::Flow::Single:
-        s->single->initial = center_placement_from(
-            artifacts.traps_near_center, s->job.program->qubit_count());
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->single_job = s->executor->submit(
-            1, [s, keep = s->artifacts, cancel](std::size_t, int) {
-              cancel.check();
-              const ThreadCpuTimer watch;
-              s->single->execution =
-                  execute_circuit(s->qidg, keep->fabric, keep->graph, s->rank,
-                                  s->single->initial, s->exec);
-              s->single->trial_cpu_ms = watch.elapsed_ms();
-            });
-        break;
-      case PendingState::Flow::MonteCarlo:
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->mc_run = monte_carlo_submit(
-            s->qidg, artifacts.fabric, artifacts.graph, s->rank, s->exec,
-            opts.monte_carlo_trials, opts.rng_seed, *s->executor,
-            &artifacts.traps_near_center, cancel);
-        break;
-      case PendingState::Flow::Mvfb:
-        s->mvfb = std::make_unique<MvfbPlacer>(
-            s->qidg, artifacts.fabric, artifacts.graph, s->rank, s->exec,
-            MvfbOptions{opts.mvfb_seeds, 3, 64, opts.rng_seed,
-                        s->executor->worker_count(), cancel},
-            &artifacts.traps_near_center);
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->mvfb_run = s->mvfb->submit(*s->executor);
-        break;
-    }
+    s->trials.emplace(opts, s->qidg, *s->artifacts, s->rank, s->exec,
+                      s->job.cancel);
+    s->result.setup_ms = setup_watch.elapsed_ms();
+    // Trial submission is the job's last act: when finish()'s setup wait
+    // rethrows, no trial job was ever submitted.
+    s->trials->submit(*s->executor);
   });
   PendingMap pending;
   pending.state_ = std::move(state);
@@ -296,63 +231,38 @@ MapResult MappingEngine::finish(PendingMap pending) {
   require(!state.collected, "finish() called twice on one job");
   state.collected = true;
   // Setup first: it wrote ideal_latency/setup_ms into the result and
-  // submitted the flow job whose handle the switch below waits on. A setup
-  // failure (cancelled job, malformed program) rethrows here before any
-  // flow handle exists.
+  // submitted the trials collected below. A setup failure (cancelled job,
+  // malformed program, bad trial count) rethrows here before any trial job
+  // exists.
   executor_.wait(state.setup_job);
   MapResult result = std::move(state.result);
-
-  const auto finish_single = [&](const Placement& initial,
-                                 ExecutionResult&& execution) {
-    result.latency = execution.latency;
-    result.trace = std::move(execution.trace);
-    result.initial_placement = initial;
-    result.final_placement = std::move(execution.final_placement);
-    result.stats = execution.stats;
-    result.timings = std::move(execution.timings);
-  };
-
-  switch (state.flow) {
-    case PendingState::Flow::Ideal:
-      break;
-    case PendingState::Flow::Single: {
-      executor_.wait(state.single_job);
-      result.trial_cpu_ms = state.single->trial_cpu_ms;
-      finish_single(state.single->initial,
-                    std::move(state.single->execution));
-      result.placement_runs = 1;
-      break;
-    }
-    case PendingState::Flow::MonteCarlo: {
-      MonteCarloResult mc = monte_carlo_collect(executor_, state.mc_run);
-      result.trial_cpu_ms = mc.trial_cpu_ms;
-      finish_single(mc.best_initial_placement, std::move(mc.best_execution));
-      result.placement_runs = mc.trials;
-      break;
-    }
-    case PendingState::Flow::Mvfb: {
-      MvfbResult mvfb = state.mvfb->collect(executor_, state.mvfb_run);
-      result.trial_cpu_ms = mvfb.trial_cpu_ms;
-      result.latency = mvfb.best_latency;
-      result.trace = std::move(mvfb.best_trace);
-      result.initial_placement = std::move(mvfb.best_initial_placement);
-      // For a backward winner the reported (time-reversed) execution ends
-      // where the backward run began.
-      result.final_placement = mvfb.best_is_backward
-                                   ? mvfb.best_execution.initial_placement
-                                   : mvfb.best_execution.final_placement;
-      result.stats = mvfb.best_execution.stats;
-      result.timings = std::move(mvfb.best_execution.timings);
-      result.placement_runs = mvfb.total_runs;
-      break;
+  if (state.trials) {
+    TrialWinner winner = state.trials->collect(executor_);
+    ExecutionResult& run = winner.execution;
+    result.latency = run.latency;
+    result.placement_runs = winner.placement_runs;
+    result.trial_cpu_ms = winner.trial_cpu_ms;
+    result.stats = run.stats;
+    result.timings = std::move(run.timings);
+    if (winner.backward) {
+      // §IV.A: a winning backward computation is reported as its reverse — a
+      // forward execution starting from the backward run's *final*
+      // placement and ending where the backward run began.
+      result.trace = run.trace.time_reversed();
+      result.initial_placement = std::move(run.final_placement);
+      result.final_placement = std::move(run.initial_placement);
+    } else {
+      result.trace = std::move(run.trace);
+      result.initial_placement = std::move(run.initial_placement);
+      result.final_placement = std::move(run.final_placement);
     }
   }
 
-  // Stop the clock before the optional diagnostic: cpu_ms reports the
+  // Stop the clock before the optional diagnostic: wall_ms reports the
   // mapping itself, and must not depend on whether a report was requested.
   // Under a shared executor this is wall time from begin() to finish(), so
   // it includes time spent interleaved with other jobs' trials.
-  result.cpu_ms = state.stopwatch.elapsed_ms();
+  result.wall_ms = state.stopwatch.elapsed_ms();
   if (state.job.options.negotiation_report && result.trace.size() > 0) {
     result.negotiation = diagnose_negotiation(
         *state.artifacts, state.exec.tech, result.trace, state.job.options);

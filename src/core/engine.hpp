@@ -4,9 +4,9 @@
 // Where map_program was "one call, one pool, one program", the engine owns
 // two long-lived resources shared by many mapping jobs:
 //
-//   * an Executor whose workers evaluate placement trials — from one job or
-//     from many jobs at once, interleaved round-robin so a large circuit
-//     cannot starve the queue;
+//   * an Executor whose workers evaluate placement trials
+//     (core/placement_trials.hpp) — from one job or from many jobs at once,
+//     interleaved round-robin so a large circuit cannot starve the queue;
 //   * a FabricArtifactCache of read-only per-fabric structures (CSR routing
 //     graph, traps-by-center placement table, port-capacity table) built
 //     once per distinct fabric and shared const across jobs.

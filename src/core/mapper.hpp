@@ -112,11 +112,12 @@ struct MapResult {
   std::vector<InstructionTiming> timings;
   /// Placement runs consumed (1 for single-placement flows).
   int placement_runs = 1;
-  /// Wall-clock mapping time.
-  double cpu_ms = 0.0;
+  /// Wall-clock mapping time, from begin() to the end of the placement
+  /// trials (the optional negotiation diagnostic is not included).
+  double wall_ms = 0.0;
   /// Thread-CPU time spent inside placement trials, summed over workers
   /// (scheduler time, not wall clock: a descheduled worker accrues nothing).
-  /// trial_cpu_ms / cpu_ms therefore measures the parallelism the hardware
+  /// trial_cpu_ms / wall_ms therefore measures the parallelism the hardware
   /// actually delivered — it approaches `jobs` only when that many cores
   /// genuinely ran the trials.
   double trial_cpu_ms = 0.0;

@@ -29,8 +29,6 @@
 #include "core/engine.hpp"               // IWYU pragma: export
 #include "core/error_model.hpp"          // IWYU pragma: export
 #include "core/mapper.hpp"               // IWYU pragma: export
-#include "core/monte_carlo.hpp"          // IWYU pragma: export
-#include "core/mvfb.hpp"                 // IWYU pragma: export
 #include "core/placer.hpp"               // IWYU pragma: export
 #include "core/report.hpp"               // IWYU pragma: export
 #include "core/scheduler.hpp"            // IWYU pragma: export

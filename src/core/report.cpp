@@ -26,7 +26,7 @@ std::string make_report(const MapResult& result, const Program& program,
      << result.stats.turns << " turns; Eq.1 sums: T_routing "
      << result.stats.total_routing << " us, T_congestion "
      << result.stats.total_congestion << " us\n"
-     << "mapping cpu: " << format_fixed(result.cpu_ms, 1) << " ms wall, "
+     << "mapping cpu: " << format_fixed(result.wall_ms, 1) << " ms wall, "
      << format_fixed(result.trial_cpu_ms, 1) << " ms aggregate trial cpu ("
      << result.placement_runs << " placement runs on " << result.jobs
      << " worker" << (result.jobs == 1 ? "" : "s") << ")\n";

@@ -99,9 +99,13 @@ std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
   mix(hash, static_cast<std::uint64_t>(options.mvfb_seeds));
   mix(hash, static_cast<std::uint64_t>(options.monte_carlo_trials));
   mix(hash, options.rng_seed);
-  mix(hash, static_cast<std::uint64_t>(options.route_landmarks));
-  mix(hash, double_bits(options.route_heuristic_weight));
   mix(hash, options.negotiation_report ? 1 : 0);
+  // The search knobs only shape the negotiation diagnostic: without it,
+  // results that differ only in them are identical and share a key.
+  if (options.negotiation_report) {
+    mix(hash, static_cast<std::uint64_t>(options.route_landmarks));
+    mix(hash, double_bits(options.route_heuristic_weight));
+  }
   mix_optional(hash, options.turn_aware);
   mix_optional(hash, options.dual_move);
   mix_optional(hash, options.return_home);

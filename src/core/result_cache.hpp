@@ -33,9 +33,10 @@ namespace qspr {
 
 /// Fingerprint of the MapperOptions fields that are contractual for the
 /// mapped result: kind, technology parameters, priorities, placer and trial
-/// budgets, rng_seed, route_landmarks, route_heuristic_weight,
-/// negotiation_report, and the ablation overrides. jobs is excluded —
-/// results are bit-identical at any value.
+/// budgets, rng_seed, negotiation_report, and the ablation overrides.
+/// route_landmarks and route_heuristic_weight count only when
+/// negotiation_report is set: they shape nothing but the diagnostic. jobs is
+/// excluded — results are bit-identical at any value.
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 

@@ -183,21 +183,8 @@ std::string batch_record_json(const BatchJobRecord& record) {
   json.field("instructions", record.instructions);
   if (record.ok) {
     const MapResult& result = record.result;
-    json.field("mapper", to_string(result.kind));
-    json.field("latency_us", static_cast<long long>(result.latency));
-    json.field("ideal_latency_us",
-               static_cast<long long>(result.ideal_latency));
-    json.field("routing_us",
-               static_cast<long long>(result.stats.total_routing));
-    json.field("congestion_us",
-               static_cast<long long>(result.stats.total_congestion));
-    json.field("moves", result.stats.moves);
-    json.field("turns", result.stats.turns);
-    json.field("placement_runs", result.placement_runs);
-    json.field("wall_ms", result.cpu_ms);
-    json.field("trial_cpu_ms", result.trial_cpu_ms);
-    json.field("setup_ms", result.setup_ms);
-    json.field("nodes_settled", result.stats.nodes_settled);
+    write_map_result_fields(json, result);
+    json.field("wall_ms", result.wall_ms);
     if (result.negotiation.has_value()) {
       // Per-job PathFinder negotiation diagnostic (negotiation_report /
       // qspr_batch --report), bit-identical at any jobs.

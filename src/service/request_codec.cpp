@@ -185,7 +185,8 @@ ServeRequest parse_serve_request(std::string_view frame,
   // Search-quality knobs of the negotiation diagnostic (absent = the
   // service defaults): ALT landmark count and the bounded-suboptimality
   // weight (1.0 keeps the exact search). The daemon never runs the
-  // diagnostic, so they only enter the options fingerprint.
+  // diagnostic, so they are validated and otherwise ignored (the options
+  // fingerprint mixes them only under negotiation_report).
   if (root.find("landmarks") != nullptr) {
     request.options.route_landmarks = static_cast<int>(
         number_field(root, "landmarks", 0.0, 0.0, 1024.0));
@@ -231,14 +232,7 @@ std::string map_result_fingerprint(const MapResult& result) {
   return out;
 }
 
-std::string serve_result_json(const std::string& id, const MapResult& result,
-                              double queue_ms, double map_ms,
-                              const std::string& session) {
-  JsonWriter json;
-  json.begin_object();
-  json.field("id", id);
-  json.field("ok", true);
-  if (!session.empty()) json.field("session", session);
+void write_map_result_fields(JsonWriter& json, const MapResult& result) {
   json.field("mapper", to_string(result.kind));
   json.field("latency_us", static_cast<long long>(result.latency));
   json.field("ideal_latency_us", static_cast<long long>(result.ideal_latency));
@@ -251,6 +245,17 @@ std::string serve_result_json(const std::string& id, const MapResult& result,
   json.field("trial_cpu_ms", result.trial_cpu_ms);
   json.field("setup_ms", result.setup_ms);
   json.field("nodes_settled", result.stats.nodes_settled);
+}
+
+std::string serve_result_json(const std::string& id, const MapResult& result,
+                              double queue_ms, double map_ms,
+                              const std::string& session) {
+  JsonWriter json;
+  json.begin_object();
+  json.field("id", id);
+  json.field("ok", true);
+  if (!session.empty()) json.field("session", session);
+  write_map_result_fields(json, result);
   json.field("queue_ms", queue_ms);
   json.field("map_ms", map_ms);
   json.field("result_fp", map_result_fingerprint(result));

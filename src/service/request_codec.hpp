@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/mapper.hpp"
 #include "fabric/fabric.hpp"
 
@@ -126,6 +127,12 @@ struct CodecLimits {
 /// their fingerprints match, so a client can compare a served result
 /// against a local map_program run without shipping the trace.
 [[nodiscard]] std::string map_result_fingerprint(const MapResult& result);
+
+/// Writes the mapping-result fields that serve replies and batch JSONL
+/// records share, under the same names: mapper, latency_us,
+/// ideal_latency_us, routing_us, congestion_us, moves, turns,
+/// placement_runs, trial_cpu_ms, setup_ms and nodes_settled.
+void write_map_result_fields(JsonWriter& json, const MapResult& result);
 
 /// Response builders; each returns one JSON line (no trailing newline).
 /// `session` (when non-empty) echoes the session the mapping ran under.

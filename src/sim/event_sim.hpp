@@ -111,7 +111,7 @@ class EventSimulator {
   /// ValidationError on inconsistent inputs. Each call is an independent run
   /// over thread-confined state: one simulator may serve concurrent callers
   /// as long as each passes its own `arena` (the reusable router search
-  /// workspace, typically owned by the worker's TrialContext).
+  /// workspace, typically owned by one PlacementTrials worker).
   ExecutionResult run(const Placement& initial,
                       SearchArena<Duration>& arena) const;
 

@@ -11,6 +11,7 @@
 #include "core/engine.hpp"
 #include "core/result_cache.hpp"
 #include "fabric/quale_fabric.hpp"
+#include "qecc/codes.hpp"
 
 namespace qspr {
 namespace {
@@ -152,6 +153,26 @@ TEST(ResultCacheTest, ZeroBudgetIsUnlimited) {
   }
   EXPECT_EQ(cache.size(), 16u);
   EXPECT_EQ(cache.stats().evictions, 0);
+}
+
+TEST(ResultCacheTest, SearchKnobsEnterTheKeyOnlyWithTheDiagnostic) {
+  const Program program = make_encoder(QeccCode::Q5_1_3);
+  const Fabric fabric = make_quale_fabric({4, 4, 4});
+  const auto key = [&](const MapperOptions& options) {
+    return MappingEngine::result_key(program, fabric, options);
+  };
+  for (const bool report : {false, true}) {
+    MapperOptions base;
+    base.negotiation_report = report;
+    MapperOptions landmarks = base;
+    landmarks.route_landmarks = 0;
+    MapperOptions weight = base;
+    weight.route_heuristic_weight = 1.5;
+    // Without the diagnostic the knobs change nothing in the result, so
+    // they must not split the cache; with it they shape the diagnostic.
+    EXPECT_EQ(key(base) == key(landmarks), !report) << "report " << report;
+    EXPECT_EQ(key(base) == key(weight), !report) << "report " << report;
+  }
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST(Mapper, ReportsCpuTimeAndKind) {
   MapperOptions options = fast_qspr();
   const MapResult result = map_program(program, fabric, options);
   EXPECT_EQ(result.kind, MapperKind::Qspr);
-  EXPECT_GE(result.cpu_ms, 0.0);
+  EXPECT_GE(result.wall_ms, 0.0);
   EXPECT_EQ(to_string(MapperKind::Quale), "QUALE");
   EXPECT_EQ(to_string(MapperKind::IdealBaseline), "Baseline");
 }

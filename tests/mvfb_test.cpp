@@ -1,146 +1,235 @@
-// Unit tests for the MVFB placer (§IV.A) and the Monte Carlo baseline.
+// Unit tests for the placement-trial flows behind MappingEngine: MVFB
+// (§IV.A), the budget-matched Monte Carlo baseline (§V.A) and center
+// placement (QUALE/QPOS, §I), plus a golden anchor pinning their results.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "circuit/dependency_graph.hpp"
-#include "core/monte_carlo.hpp"
-#include "core/mvfb.hpp"
-#include "core/placer.hpp"
-#include "core/scheduler.hpp"
+#include "core/engine.hpp"
+#include "core/mapper.hpp"
+#include "core/placement_trials.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/codes.hpp"
+#include "service/request_codec.hpp"
 #include "sim/trace_validator.hpp"
 
 namespace qspr {
 namespace {
 
+MapperOptions mvfb_options(int seeds, std::uint64_t rng_seed) {
+  MapperOptions options;
+  options.placer = PlacerKind::Mvfb;
+  options.mvfb_seeds = seeds;
+  options.rng_seed = rng_seed;
+  return options;
+}
+
+MapperOptions monte_carlo_options(int trials, std::uint64_t rng_seed) {
+  MapperOptions options;
+  options.placer = PlacerKind::MonteCarlo;
+  options.monte_carlo_trials = trials;
+  options.rng_seed = rng_seed;
+  return options;
+}
+
+void expect_valid(const MapResult& result, const Program& program,
+                  const Fabric& fabric, const MapperOptions& options,
+                  const std::string& label) {
+  const auto violations =
+      validate_trace(result.trace, DependencyGraph::build(program), fabric,
+                     result.initial_placement,
+                     execution_options_for(options).tech);
+  EXPECT_TRUE(violations.empty())
+      << label << ": " << violations.size() << " violations, e.g. "
+      << (violations.empty() ? "" : violations[0]);
+}
+
+/// Where the trace leaves every qubit: the destination trap of its last
+/// move, or its initial trap when it never moves.
+Placement final_placement_of(const Trace& trace, const Fabric& fabric,
+                             const Placement& initial) {
+  Placement placement = initial;
+  std::map<std::int32_t, TimePoint> last_move;
+  for (const MicroOp& op : trace.ops()) {
+    if (op.kind != MicroOpKind::Move) continue;
+    const auto [it, inserted] = last_move.try_emplace(op.qubit.value(), op.end);
+    if (!inserted && op.end < it->second) continue;
+    it->second = op.end;
+    const TrapId trap = fabric.trap_at(op.to);
+    if (trap.is_valid()) placement.set(op.qubit, trap);
+  }
+  return placement;
+}
+
 class MvfbTest : public ::testing::Test {
  protected:
   MvfbTest()
       : fabric_(make_quale_fabric({4, 4, 4})),
-        routing_(fabric_),
-        program_(make_encoder(QeccCode::Q5_1_3)),
-        graph_(DependencyGraph::build(program_)),
-        rank_(make_schedule_rank(graph_, TechnologyParams{})) {}
+        program_(make_encoder(QeccCode::Q5_1_3)) {}
+
+  MapResult map(const MapperOptions& options) {
+    return engine_.map(program_, fabric_, options);
+  }
 
   Fabric fabric_;
-  RoutingGraph routing_;
   Program program_;
-  DependencyGraph graph_;
-  std::vector<int> rank_;
-  ExecutionOptions exec_;
+  MappingEngine engine_;
 };
 
 TEST_F(MvfbTest, ProducesAValidatedForwardTrace) {
-  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_,
-                    MvfbOptions{4, 3, 64, 1});
-  const MvfbResult result = placer.place_and_execute();
+  const MapperOptions options = mvfb_options(4, 1);
+  const MapResult result = map(options);
 
-  ASSERT_LT(result.best_latency, kInfiniteDuration);
-  EXPECT_EQ(result.best_latency, result.best_trace.makespan());
+  ASSERT_LT(result.latency, kInfiniteDuration);
+  EXPECT_EQ(result.latency, result.trace.makespan());
   // The reported trace must be a physically consistent *forward* execution
   // from the reported initial placement — this is the §IV.A reversal claim.
-  const auto violations = validate_trace(result.best_trace, graph_, fabric_,
-                                         result.best_initial_placement,
-                                         exec_.tech);
-  EXPECT_TRUE(violations.empty()) << violations.size() << " violations, e.g. "
-                                  << (violations.empty() ? "" : violations[0]);
+  expect_valid(result, program_, fabric_, options, "mvfb m=4");
 }
 
 TEST_F(MvfbTest, BeatsOrMatchesSingleCenterPlacement) {
-  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_,
-                    MvfbOptions{6, 3, 64, 1});
-  const MvfbResult result = placer.place_and_execute();
-
-  EventSimulator sim(graph_, fabric_, routing_, rank_, exec_);
-  const ExecutionResult center =
-      sim.run(center_placement(fabric_, graph_.qubit_count()));
-  EXPECT_LE(result.best_latency, center.latency);
-  EXPECT_GE(result.best_latency,
-            graph_.critical_path_latency(exec_.tech));  // ideal lower bound
+  const MapResult result = map(mvfb_options(6, 1));
+  MapperOptions center;
+  center.placer = PlacerKind::Center;
+  EXPECT_LE(result.latency, map(center).latency);
+  EXPECT_GE(result.latency, result.ideal_latency);  // ideal lower bound
 }
 
 TEST_F(MvfbTest, RunCountsFollowTheStopRule) {
   const int seeds = 5;
-  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_,
-                    MvfbOptions{seeds, 3, 64, 1});
-  const MvfbResult result = placer.place_and_execute();
-  // Every seed performs at least stop_after runs before giving up.
-  EXPECT_GE(result.total_runs, seeds * 3);
-  EXPECT_LE(result.total_runs, seeds * 64);
-  // Iterations are forward+backward pairs, so runs/2 rounded down.
-  EXPECT_LE(result.total_iterations * 2, result.total_runs);
-  EXPECT_GE(result.total_iterations * 2 + seeds, result.total_runs);
+  const MapResult result = map(mvfb_options(seeds, 1));
+  // Every seed performs at least kMvfbStopAfter runs before giving up.
+  EXPECT_GE(result.placement_runs, seeds * kMvfbStopAfter);
+  EXPECT_LE(result.placement_runs, seeds * kMvfbMaxRunsPerSeed);
 }
 
 TEST_F(MvfbTest, DeterministicForFixedSeed) {
-  MvfbPlacer a(graph_, fabric_, routing_, rank_, exec_,
-               MvfbOptions{3, 3, 64, 99});
-  MvfbPlacer b(graph_, fabric_, routing_, rank_, exec_,
-               MvfbOptions{3, 3, 64, 99});
-  const MvfbResult ra = a.place_and_execute();
-  const MvfbResult rb = b.place_and_execute();
-  EXPECT_EQ(ra.best_latency, rb.best_latency);
-  EXPECT_EQ(ra.total_runs, rb.total_runs);
-  EXPECT_EQ(ra.best_initial_placement, rb.best_initial_placement);
+  const MapResult a = map(mvfb_options(3, 99));
+  const MapResult b = map(mvfb_options(3, 99));
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.placement_runs, b.placement_runs);
+  EXPECT_EQ(a.initial_placement, b.initial_placement);
 }
 
 TEST_F(MvfbTest, MoreSeedsNeverHurt) {
-  MvfbPlacer small(graph_, fabric_, routing_, rank_, exec_,
-                   MvfbOptions{2, 3, 64, 5});
-  MvfbPlacer large(graph_, fabric_, routing_, rank_, exec_,
-                   MvfbOptions{10, 3, 64, 5});
   // Same RNG stream: the large run explores a superset of seeds.
-  EXPECT_LE(large.place_and_execute().best_latency,
-            small.place_and_execute().best_latency);
+  EXPECT_LE(map(mvfb_options(10, 5)).latency,
+            map(mvfb_options(2, 5)).latency);
 }
 
-TEST_F(MvfbTest, RejectsBadOptions) {
-  EXPECT_THROW(MvfbPlacer(graph_, fabric_, routing_, rank_, exec_,
-                          MvfbOptions{0, 3, 64, 1}),
-               Error);
-  EXPECT_THROW(MvfbPlacer(graph_, fabric_, routing_, rank_, exec_,
-                          MvfbOptions{1, 0, 64, 1}),
-               Error);
+TEST_F(MvfbTest, RejectsBadTrialCounts) {
+  EXPECT_THROW(map(mvfb_options(0, 1)), Error);
+  EXPECT_THROW(map(monte_carlo_options(0, 1)), Error);
 }
 
-TEST_F(MvfbTest, BackwardWinnersReportReversedTraces) {
-  // Run many seeds; whether the winner is forward or backward, the reported
-  // artefacts must be mutually consistent.
-  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_,
-                    MvfbOptions{8, 3, 64, 3});
-  const MvfbResult result = placer.place_and_execute();
-  EXPECT_EQ(result.best_trace.gate_count(), graph_.node_count());
-  EXPECT_EQ(result.best_latency, result.best_execution.latency);
-  if (result.best_is_backward) {
-    EXPECT_EQ(result.best_initial_placement,
-              result.best_execution.final_placement);
-  } else {
-    EXPECT_EQ(result.best_initial_placement,
-              result.best_execution.initial_placement);
+TEST_F(MvfbTest, ReportedPlacementsBracketTheTrace) {
+  // rng_seed 6 makes a backward (UIDG) run win on the paper fabric, rng_seed
+  // 1 a forward one: either way the reported initial placement starts the
+  // reported trace and the reported final placement is where it ends.
+  const Fabric paper = make_paper_fabric();
+  for (const std::uint64_t rng_seed : {1, 6}) {
+    const MapperOptions options = mvfb_options(8, rng_seed);
+    const MapResult result = engine_.map(program_, paper, options);
+    const std::string label = "rng_seed " + std::to_string(rng_seed);
+    EXPECT_EQ(result.trace.gate_count(), program_.instructions().size())
+        << label;
+    expect_valid(result, program_, paper, options, label);
+    EXPECT_EQ(result.final_placement,
+              final_placement_of(result.trace, paper, result.initial_placement))
+        << label;
   }
 }
 
 TEST_F(MvfbTest, MonteCarloBaselineWorks) {
-  const MonteCarloResult result = monte_carlo_place_and_execute(
-      graph_, fabric_, routing_, rank_, exec_, 10, 1);
-  EXPECT_EQ(result.trials, 10);
-  ASSERT_LT(result.best_latency, kInfiniteDuration);
-  EXPECT_GE(result.best_latency, graph_.critical_path_latency(exec_.tech));
-  const auto violations =
-      validate_trace(result.best_execution.trace, graph_, fabric_,
-                     result.best_initial_placement, exec_.tech);
-  EXPECT_TRUE(violations.empty());
+  const MapperOptions options = monte_carlo_options(10, 1);
+  const MapResult result = map(options);
+  EXPECT_EQ(result.placement_runs, 10);
+  ASSERT_LT(result.latency, kInfiniteDuration);
+  EXPECT_GE(result.latency, result.ideal_latency);
+  expect_valid(result, program_, fabric_, options, "monte carlo");
 }
 
 TEST_F(MvfbTest, MonteCarloMoreTrialsNeverHurt) {
-  const MonteCarloResult few = monte_carlo_place_and_execute(
-      graph_, fabric_, routing_, rank_, exec_, 3, 7);
-  const MonteCarloResult many = monte_carlo_place_and_execute(
-      graph_, fabric_, routing_, rank_, exec_, 30, 7);
-  EXPECT_LE(many.best_latency, few.best_latency);
-  EXPECT_THROW(monte_carlo_place_and_execute(graph_, fabric_, routing_, rank_,
-                                             exec_, 0, 1),
-               Error);
+  EXPECT_LE(map(monte_carlo_options(30, 7)).latency,
+            map(monte_carlo_options(3, 7)).latency);
+}
+
+// ---------------------------------------------------------------------------
+// Golden anchor: every placement flow on the paper fabric, recorded before
+// the MVFB, Monte Carlo and center-placement fan-outs shared one trial loop.
+// ---------------------------------------------------------------------------
+
+struct GoldenCase {
+  const char* flow;
+  MapperKind kind;
+  PlacerKind placer;
+  QeccCode code;
+  std::uint64_t rng_seed;
+  Duration latency;
+  int placement_runs;
+  const char* fingerprint;
+};
+
+TEST(PlacementFlowGolden, PaperFabricResultsMatchRecordedOutcomes) {
+  constexpr MapperKind Q = MapperKind::Qspr;
+  const GoldenCase cases[] = {
+      {"mvfb", Q, PlacerKind::Mvfb, QeccCode::Q5_1_3, 1, 564, 60,
+       "52727d3453dc13f1"},
+      {"mvfb", Q, PlacerKind::Mvfb, QeccCode::Q7_1_3, 1, 566, 54,
+       "6e886e6fcc5f7215"},
+      {"mvfb", Q, PlacerKind::Mvfb, QeccCode::Q23_1_7, 1, 1614, 86,
+       "e618cf7fe3b3821e"},
+      // A backward winner: reversed trace, swapped placements.
+      {"mvfb", Q, PlacerKind::Mvfb, QeccCode::Q5_1_3, 6, 564, 52,
+       "4f318587d1874d23"},
+      {"mc", Q, PlacerKind::MonteCarlo, QeccCode::Q5_1_3, 1, 578, 8,
+       "b0e4a851a20bb33e"},
+      {"mc", Q, PlacerKind::MonteCarlo, QeccCode::Q7_1_3, 1, 630, 8,
+       "aa45bbcd16a283ab"},
+      {"mc", Q, PlacerKind::MonteCarlo, QeccCode::Q23_1_7, 1, 1776, 8,
+       "b6e6d42c1d06fa25"},
+      {"center", Q, PlacerKind::Center, QeccCode::Q5_1_3, 1, 686, 1,
+       "21763f6fd1e6686e"},
+      {"center", Q, PlacerKind::Center, QeccCode::Q7_1_3, 1, 644, 1,
+       "aa62a1de60975826"},
+      {"center", Q, PlacerKind::Center, QeccCode::Q23_1_7, 1, 1822, 1,
+       "25ce9ce8412423bd"},
+      {"quale", MapperKind::Quale, PlacerKind::Mvfb, QeccCode::Q5_1_3, 1, 748,
+       1, "11361a969cb1a72e"},
+      {"quale", MapperKind::Quale, PlacerKind::Mvfb, QeccCode::Q7_1_3, 1, 872,
+       1, "ac2e7cfbfaacc134"},
+      {"quale", MapperKind::Quale, PlacerKind::Mvfb, QeccCode::Q23_1_7, 1,
+       2304, 1, "4b1eabc6a3653570"},
+      {"qpos", MapperKind::Qpos, PlacerKind::Mvfb, QeccCode::Q5_1_3, 1, 770, 1,
+       "b45ec2168adafd7a"},
+      {"qpos", MapperKind::Qpos, PlacerKind::Mvfb, QeccCode::Q7_1_3, 1, 738, 1,
+       "6f5922d752f9d6bf"},
+      {"qpos", MapperKind::Qpos, PlacerKind::Mvfb, QeccCode::Q23_1_7, 1, 1846,
+       1, "2fcbd667936bfb60"},
+  };
+  const Fabric fabric = make_paper_fabric();
+  for (const GoldenCase& golden : cases) {
+    const Program program = make_encoder(golden.code);
+    for (const int jobs : {1, 4}) {
+      MapperOptions options;
+      options.kind = golden.kind;
+      options.placer = golden.placer;
+      options.mvfb_seeds = 8;
+      options.monte_carlo_trials = 8;
+      options.rng_seed = golden.rng_seed;
+      options.jobs = jobs;
+      const MapResult result = map_program(program, fabric, options);
+      const std::string label = std::string(golden.flow) + " " +
+                                code_name(golden.code) + " rng_seed " +
+                                std::to_string(golden.rng_seed) + " jobs " +
+                                std::to_string(jobs);
+      EXPECT_EQ(result.latency, golden.latency) << label;
+      EXPECT_EQ(result.placement_runs, golden.placement_runs) << label;
+      EXPECT_EQ(map_result_fingerprint(result), golden.fingerprint) << label;
+      expect_valid(result, program, fabric, options, label);
+    }
+  }
 }
 
 }  // namespace

@@ -12,13 +12,12 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/executor.hpp"
+#include "core/engine.hpp"
 #include "core/mapper.hpp"
-#include "core/monte_carlo.hpp"
-#include "core/mvfb.hpp"
-#include "core/scheduler.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/codes.hpp"
 
@@ -269,55 +268,37 @@ INSTANTIATE_TEST_SUITE_P(Codes, ParallelDeterminism,
                          ::testing::Values(QeccCode::Q5_1_3,
                                            QeccCode::Q7_1_3));
 
-// Direct placer-level checks: every field of the placer results agrees, and
-// oversubscribing workers (jobs > trials) is safe.
-TEST(ParallelDeterminismDirect, MvfbPlacerAgreesAcrossJobCounts) {
+// Engine-level checks across worker counts, including oversubscribed
+// engines (more workers than trials), which map_program's clamp never
+// builds.
+MapResult map_on_engine(int workers, const MapperOptions& options) {
   const Program program = make_encoder(QeccCode::Q5_1_3);
   const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const RoutingGraph routing(fabric);
-  const DependencyGraph graph = DependencyGraph::build(program);
-  const std::vector<int> rank = make_schedule_rank(graph, TechnologyParams{});
-  const ExecutionOptions exec;
+  MappingEngine engine(workers);
+  return engine.map(program, fabric, options);
+}
 
-  MvfbResult reference;
-  for (const int jobs : {1, 2, 4, 8}) {
-    MvfbPlacer placer(graph, fabric, routing, rank, exec,
-                      MvfbOptions{5, 3, 64, 23, jobs});
-    const MvfbResult result = placer.place_and_execute();
-    if (jobs == 1) {
-      reference = result;
-      continue;
-    }
-    EXPECT_EQ(result.best_latency, reference.best_latency) << jobs;
-    EXPECT_EQ(result.best_is_backward, reference.best_is_backward) << jobs;
-    EXPECT_EQ(result.best_initial_placement, reference.best_initial_placement)
-        << jobs;
-    EXPECT_EQ(result.best_trace.to_string(), reference.best_trace.to_string())
-        << jobs;
-    EXPECT_EQ(result.total_runs, reference.total_runs) << jobs;
-    EXPECT_EQ(result.total_iterations, reference.total_iterations) << jobs;
+TEST(ParallelDeterminismDirect, MvfbAgreesAcrossEngineWorkerCounts) {
+  MapperOptions options;
+  options.mvfb_seeds = 5;
+  options.rng_seed = 23;
+  const MapResult reference = map_on_engine(1, options);
+  for (const int workers : {2, 4, 8}) {
+    expect_identical(reference, map_on_engine(workers, options),
+                     ("mvfb, workers " + std::to_string(workers)).c_str());
   }
 }
 
-TEST(ParallelDeterminismDirect, MonteCarloAgreesAcrossJobCounts) {
-  const Program program = make_encoder(QeccCode::Q5_1_3);
-  const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const RoutingGraph routing(fabric);
-  const DependencyGraph graph = DependencyGraph::build(program);
-  const std::vector<int> rank = make_schedule_rank(graph, TechnologyParams{});
-  const ExecutionOptions exec;
-
-  const MonteCarloResult serial = monte_carlo_place_and_execute(
-      graph, fabric, routing, rank, exec, 10, 9, /*jobs=*/1);
-  for (const int jobs : {2, 4, 16}) {
-    const MonteCarloResult parallel = monte_carlo_place_and_execute(
-        graph, fabric, routing, rank, exec, 10, 9, jobs);
-    EXPECT_EQ(parallel.best_latency, serial.best_latency) << jobs;
-    EXPECT_EQ(parallel.best_initial_placement, serial.best_initial_placement)
-        << jobs;
-    EXPECT_EQ(parallel.best_execution.trace.to_string(),
-              serial.best_execution.trace.to_string())
-        << jobs;
+TEST(ParallelDeterminismDirect, MonteCarloAgreesAcrossEngineWorkerCounts) {
+  MapperOptions options;
+  options.placer = PlacerKind::MonteCarlo;
+  options.monte_carlo_trials = 10;
+  options.rng_seed = 9;
+  const MapResult serial = map_on_engine(1, options);
+  for (const int workers : {2, 4, 16}) {
+    expect_identical(serial, map_on_engine(workers, options),
+                     ("monte carlo, workers " + std::to_string(workers))
+                         .c_str());
   }
 }
 

@@ -235,7 +235,7 @@ TEST(SearchDeterminismTest, PathFinderScratchReuseDoesNotPerturbResults) {
 }
 
 TEST(SearchDeterminismTest, RouterArenaReuseDoesNotPerturbResults) {
-  // An arena reused across queries (the per-worker TrialContext pattern)
+  // An arena reused across queries (the per-worker PlacementTrials pattern)
   // must answer exactly like a fresh arena per query.
   const Fabric fabric = make_quale_fabric({3, 3, 4});
   const RoutingGraph graph(fabric);

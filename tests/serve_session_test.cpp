@@ -239,6 +239,32 @@ TEST(ServeSession, UndoToAnEarlierCircuitServedFromResultCache) {
   }
 }
 
+TEST(ServeSession, DiagnosticOnlyKnobChangeServedFromResultCache) {
+  ServeHarness harness;
+  RawClient client(harness.port());
+  const std::string name = open_session(client, "o1");
+  const std::string qasm = write_qasm(make_encoder(QeccCode::Q7_1_3));
+
+  client.send_line(session_map("m1", name, qasm));
+  const JsonValue first = client.recv_json();
+  ASSERT_TRUE(first.bool_or("ok", false));
+
+  // The same request with another ALT landmark count: landmarks only shape
+  // the negotiation diagnostic the daemon never runs, so the result is the
+  // same and the session answers it.
+  std::string retuned = session_map("m2", name, qasm);
+  retuned.insert(retuned.size() - 1, R"(,"landmarks":0)");
+  client.send_line(retuned);
+  const JsonValue second = client.recv_json();
+  ASSERT_TRUE(second.bool_or("ok", false));
+  EXPECT_EQ(second.string_or("result_fp", ""),
+            first.string_or("result_fp", ""));
+  const JsonValue stats = server_stats(client);
+  EXPECT_EQ(stats.number_or("result_hits", -1), 1);
+  EXPECT_EQ(stats.number_or("result_misses", -1), 1);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
 TEST(ServeSession, ResultsDieWithTheirSession) {
   ServeHarness harness;
   RawClient client(harness.port());
