@@ -88,65 +88,45 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw Error("missing value for " + arg);
         return argv[++i];
       };
+      // Integer value of this option, rejected below `min`.
+      const auto next_int = [&](long long min) {
+        const long long value = parse_integer(next());
+        if (value < min) {
+          throw Error(arg + " must be >= " + std::to_string(min));
+        }
+        return value;
+      };
       if (arg == "--host") {
         options.host = next();
       } else if (arg == "--port") {
-        options.port = static_cast<int>(parse_integer(next()));
-        if (options.port < 0 || options.port > 65535) {
-          throw Error("--port must be in [0, 65535]");
-        }
+        const long long port = next_int(0);
+        if (port > 65535) throw Error("--port must be in [0, 65535]");
+        options.port = static_cast<int>(port);
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--jobs") {
-        options.workers = static_cast<int>(parse_integer(next()));
-        if (options.workers < 1) throw Error("--jobs must be at least 1");
+        options.workers = static_cast<int>(next_int(1));
       } else if (arg == "--mapper-threads") {
-        options.mapper_threads = static_cast<int>(parse_integer(next()));
-        if (options.mapper_threads < 1) {
-          throw Error("--mapper-threads must be at least 1");
-        }
+        options.mapper_threads = static_cast<int>(next_int(1));
       } else if (arg == "--max-queue") {
-        options.max_queue = static_cast<int>(parse_integer(next()));
-        if (options.max_queue < 1) throw Error("--max-queue must be >= 1");
+        options.max_queue = static_cast<int>(next_int(1));
       } else if (arg == "--max-connections") {
-        options.max_connections = static_cast<int>(parse_integer(next()));
-        if (options.max_connections < 1) {
-          throw Error("--max-connections must be >= 1");
-        }
+        options.max_connections = static_cast<int>(next_int(1));
       } else if (arg == "--max-frame-bytes") {
-        const long long bytes = parse_integer(next());
-        if (bytes < 64) throw Error("--max-frame-bytes must be >= 64");
-        options.max_frame_bytes = static_cast<std::size_t>(bytes);
+        options.max_frame_bytes = static_cast<std::size_t>(next_int(64));
       } else if (arg == "--retry-after-ms") {
-        options.retry_after_ms = static_cast<int>(parse_integer(next()));
-        if (options.retry_after_ms < 0) {
-          throw Error("--retry-after-ms must be >= 0");
-        }
+        options.retry_after_ms = static_cast<int>(next_int(0));
       } else if (arg == "--retry-ceiling-ms") {
-        options.retry_after_ceiling_ms =
-            static_cast<int>(parse_integer(next()));
-        if (options.retry_after_ceiling_ms < 0) {
-          throw Error("--retry-ceiling-ms must be >= 0");
-        }
+        options.retry_after_ceiling_ms = static_cast<int>(next_int(0));
       } else if (arg == "--shard-id") {
-        options.shard_id = static_cast<int>(parse_integer(next()));
-        if (options.shard_id < 0) throw Error("--shard-id must be >= 0");
+        options.shard_id = static_cast<int>(next_int(0));
       } else if (arg == "--drain-ms") {
-        options.drain_deadline_ms =
-            static_cast<double>(parse_integer(next()));
-        if (options.drain_deadline_ms < 0) {
-          throw Error("--drain-ms must be >= 0");
-        }
+        options.drain_deadline_ms = static_cast<double>(next_int(0));
       } else if (arg == "--deadline-ms") {
-        options.default_deadline_ms =
-            static_cast<double>(parse_integer(next()));
-        if (options.default_deadline_ms < 0) {
-          throw Error("--deadline-ms must be >= 0");
-        }
+        options.default_deadline_ms = static_cast<double>(next_int(0));
       } else if (arg == "--cache-budget-mb") {
-        const long long mb = parse_integer(next());
-        if (mb < 0) throw Error("--cache-budget-mb must be >= 0");
-        options.cache_budget_bytes = static_cast<std::size_t>(mb) << 20;
+        options.cache_budget_bytes = static_cast<std::size_t>(next_int(0))
+                                     << 20;
       } else if (arg == "--fabric") {
         options.default_fabric = next();
         parse_fabric_file(options.default_fabric);  // fail fast, not at req 1

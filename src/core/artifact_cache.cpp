@@ -37,7 +37,7 @@ LandmarkCacheStats FabricArtifacts::landmark_stats() const {
 std::size_t FabricArtifacts::memory_bytes() const {
   // Estimate, not an exact accounting: the dominant terms are the CSR
   // routing graph (node records + edge storage) and the landmark tables
-  // (2 * K doubles per node per table set); container overheads are folded
+  // (K doubles per node per table); container overheads are folded
   // into per-element constants.
   std::size_t bytes = sizeof(FabricArtifacts);
   bytes += static_cast<std::size_t>(fabric.rows()) *
@@ -50,8 +50,7 @@ std::size_t FabricArtifacts::memory_bytes() const {
     if (!tables) continue;
     bytes += sizeof(LandmarkTables) +
              tables->landmarks.size() * sizeof(RouteNodeId) +
-             (tables->forward.size() + tables->backward.size()) *
-                 sizeof(double);
+             tables->distance.size() * sizeof(double);
   }
   return bytes;
 }

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <utility>
@@ -46,6 +47,45 @@ std::vector<NetRequest> relocation_nets(const Trace& trace,
     }
   }
   return nets;
+}
+
+/// Re-derives a backward winner's timings in the frame of its reported,
+/// time-reversed trace: each gate window is its Gate op, `ready` the latest
+/// predecessor gate_end, and `issue` the first operand Move/Turn starting in
+/// [ready, gate_start] (gate_start when no operand moves). Fills the Eq. 1
+/// totals from them.
+void reframe_timings(const DependencyGraph& qidg, const Trace& trace,
+                     std::vector<InstructionTiming>& timings,
+                     ExecutionStats& stats) {
+  // The trace is sorted by start time, and so is each qubit's list.
+  std::vector<std::vector<TimePoint>> relocation_starts(qidg.qubit_count());
+  for (const MicroOp& op : trace.ops()) {
+    if (op.kind == MicroOpKind::Gate) {
+      timings[op.instruction.index()].gate_start = op.start;
+      timings[op.instruction.index()].gate_end = op.end;
+    } else {
+      relocation_starts[op.qubit.index()].push_back(op.start);
+    }
+  }
+  stats.total_routing = 0;
+  stats.total_congestion = 0;
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    const InstructionId id = InstructionId::from_index(i);
+    InstructionTiming& timing = timings[i];
+    timing.ready = 0;
+    for (const InstructionId pred : qidg.predecessors(id)) {
+      timing.ready = std::max(timing.ready, timings[pred.index()].gate_end);
+    }
+    timing.issue = timing.gate_start;
+    for (const QubitId qubit : qidg.instruction(id).operands()) {
+      const std::vector<TimePoint>& starts = relocation_starts[qubit.index()];
+      const auto first =
+          std::lower_bound(starts.begin(), starts.end(), timing.ready);
+      if (first != starts.end()) timing.issue = std::min(timing.issue, *first);
+    }
+    stats.total_routing += timing.t_routing();
+    stats.total_congestion += timing.t_congestion();
+  }
 }
 
 NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
@@ -251,6 +291,7 @@ MapResult MappingEngine::finish(PendingMap pending) {
       result.trace = run.trace.time_reversed();
       result.initial_placement = std::move(run.final_placement);
       result.final_placement = std::move(run.initial_placement);
+      reframe_timings(state.qidg, result.trace, result.timings, result.stats);
     } else {
       result.trace = std::move(run.trace);
       result.initial_placement = std::move(run.initial_placement);

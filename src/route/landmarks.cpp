@@ -92,15 +92,11 @@ void build_landmark_tables(const RoutingGraph& graph, double t_move,
   out.landmarks = landmarks;
   const std::size_t n = graph.node_count();
   const std::size_t k = landmarks.size();
-  out.forward.assign(n * k, kInf);
-  out.backward.assign(n * k, kInf);
+  out.distance.assign(n * k, kInf);
   std::vector<double> dist;
   for (std::size_t i = 0; i < k; ++i) {
     dijkstra_supergraph(graph, t_move, turn_cost, landmarks[i], arena, dist);
-    for (std::size_t v = 0; v < n; ++v) {
-      out.forward[v * k + i] = dist[v];
-      out.backward[v * k + i] = dist[v];
-    }
+    for (std::size_t v = 0; v < n; ++v) out.distance[v * k + i] = dist[v];
   }
 }
 

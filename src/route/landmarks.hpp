@@ -3,13 +3,13 @@
 // graph).
 //
 // K landmark nodes are selected once per fabric by farthest-point iteration
-// over the base routing metric, and two distance tables are precomputed per
-// landmark L: forward[v]  = d(L -> v) and backward[v] = d(v -> L). The
-// triangle inequality then gives, for any query endpoints, per-node lower
-// bounds
+// over the base routing metric, and one distance table is precomputed per
+// landmark L: d(L -> v), which equals d(v -> L) because the base metric is
+// symmetric. The triangle inequality then gives, for any query endpoints,
+// per-node lower bounds
 //
-//     d(v, t) >= d(L, t) - d(L, v)      (forward table)
-//     d(v, t) >= d(v, L) - d(t, L)      (backward table)
+//     d(v, t) >= d(L, t) - d(L, v)
+//     d(v, t) >= d(v, L) - d(t, L)
 //
 // maximised over landmarks and combined (max) with the turn-aware grid
 // bound. Unlike the grid bound, the landmark metric counts *every* turn a
@@ -27,7 +27,7 @@
 // consistent (tests/alt_heuristic_test.cpp checks this edge-exhaustively
 // for both frontiers). The base metric is symmetric (the routing graph is,
 // with the same turn flag both ways), so one Dijkstra per landmark fills
-// both its forward and its backward table.
+// its table for both directions.
 //
 // One deliberate slack: the landmark metric keeps traps as through-nodes
 // (queries prune edges into non-endpoint traps, the tables do not). The
@@ -48,25 +48,22 @@
 
 namespace qspr {
 
-/// Precomputed landmark distance tables over one routing graph. Node-major
-/// layout: the K distances of node v occupy forward/backward[v*K .. v*K+K),
-/// so one bound evaluation reads two contiguous K-vectors per endpoint.
+/// Precomputed landmark distance table over one routing graph. Node-major
+/// layout: the K distances of node v occupy distance[v*K .. v*K+K), so one
+/// bound evaluation reads one contiguous K-vector per endpoint.
 struct LandmarkTables {
   double t_move = 0.0;
   double turn_cost = 0.0;
   std::vector<RouteNodeId> landmarks;
-  std::vector<double> forward;   // forward[v*k+L]  = d(landmark L -> v)
-  std::vector<double> backward;  // backward[v*k+L] = d(v -> landmark L)
+  /// distance[v*k+L] = d(landmark L -> v) = d(v -> landmark L).
+  std::vector<double> distance;
 
   [[nodiscard]] int k() const { return static_cast<int>(landmarks.size()); }
   [[nodiscard]] bool empty() const { return landmarks.empty(); }
 
-  /// Start of node v's K-vector in `forward`.
-  [[nodiscard]] const double* forward_row(std::size_t v) const {
-    return forward.data() + v * landmarks.size();
-  }
-  [[nodiscard]] const double* backward_row(std::size_t v) const {
-    return backward.data() + v * landmarks.size();
+  /// Start of node v's K-vector in `distance`.
+  [[nodiscard]] const double* row(std::size_t v) const {
+    return distance.data() + v * landmarks.size();
   }
 };
 
@@ -78,8 +75,8 @@ std::vector<RouteNodeId> select_landmarks(const RoutingGraph& graph,
                                           double t_move, double turn_cost,
                                           int k, SearchArena<double>& arena);
 
-/// Builds the forward/backward distance tables of `landmarks` over the base
-/// metric (K Dijkstras over the through-trap supergraph, reusing `arena`).
+/// Builds the distance table of `landmarks` over the base metric (K
+/// Dijkstras over the through-trap supergraph, reusing `arena`).
 /// Deterministic for a fixed landmark set.
 void build_landmark_tables(const RoutingGraph& graph, double t_move,
                            double turn_cost,
@@ -90,24 +87,21 @@ void build_landmark_tables(const RoutingGraph& graph, double t_move,
 LandmarkTables build_landmark_tables(const RoutingGraph& graph, double t_move,
                                      double turn_cost, int k);
 
-/// Triangle-inequality lower bound on d(from -> to) from the two node-major
-/// K-vectors of each endpoint: max over landmarks of
+/// Triangle-inequality lower bound on d(from -> to) from the node-major
+/// K-vector of each endpoint: max over landmarks of
 /// max(d(L,to) - d(L,from), d(from,L) - d(to,L), 0).
 ///
-/// Unreachable pairs are handled by IEEE arithmetic: a +inf in the *to*
-/// row propagates (the pair really is disconnected — reachability is
-/// symmetric here, finite weights both ways), a +inf in the *from* row
-/// yields -inf and is clamped by the max with 0, and inf - inf produces a
-/// NaN that std::max(h, x) discards (comparison is false, h wins).
-[[nodiscard]] inline double alt_lower_bound(const double* from_forward,
-                                            const double* from_backward,
-                                            const double* to_forward,
-                                            const double* to_backward,
-                                            int k) {
+/// Unreachable pairs are handled by IEEE arithmetic: a +inf in either row
+/// propagates through one of the two differences (the pair really is
+/// disconnected — reachability is symmetric here, finite weights both
+/// ways), and inf - inf produces a NaN that std::max(h, x) discards
+/// (comparison is false, h wins).
+[[nodiscard]] inline double alt_lower_bound(const double* from_row,
+                                            const double* to_row, int k) {
   double h = 0.0;
   for (int i = 0; i < k; ++i) {
-    h = std::max(h, to_forward[i] - from_forward[i]);
-    h = std::max(h, from_backward[i] - to_backward[i]);
+    h = std::max(h, to_row[i] - from_row[i]);
+    h = std::max(h, from_row[i] - to_row[i]);
   }
   return h;
 }

@@ -114,20 +114,16 @@ bool route_one_astar(const RoutingGraph& graph,
   }
 
   const Position target_cell = graph.node(target).cell;
-  // ALT endpoint slices, hoisted: each bound evaluation reads the node's
-  // two contiguous K-vectors against these fixed target vectors.
+  // ALT endpoint slice, hoisted: each bound evaluation reads the node's
+  // contiguous K-vector against this fixed target vector.
   const int alt_k = costs.alt ? costs.alt->k() : 0;
-  const double* target_fwd =
-      alt_k ? costs.alt->forward_row(target.index()) : nullptr;
-  const double* target_bwd =
-      alt_k ? costs.alt->backward_row(target.index()) : nullptr;
+  const double* target_row = alt_k ? costs.alt->row(target.index()) : nullptr;
   const auto bound = [&](RouteNodeId id, const RouteNode& node) {
     double h = grid_lower_bound<double>(node, target_cell, costs.t_move,
                                         costs.turn_cost);
     if (alt_k) {
-      h = std::max(h, alt_lower_bound(costs.alt->forward_row(id.index()),
-                                      costs.alt->backward_row(id.index()),
-                                      target_fwd, target_bwd, alt_k));
+      h = std::max(h, alt_lower_bound(costs.alt->row(id.index()), target_row,
+                                      alt_k));
     }
     return h * costs.weight;
   };
@@ -497,7 +493,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   if (options.alt_landmarks > 0) {
     if (options.landmarks != nullptr && !options.landmarks->empty()) {
       costs.alt = options.landmarks;
-      require(costs.alt->forward.size() ==
+      require(costs.alt->distance.size() ==
                   graph.node_count() * costs.alt->landmarks.size(),
               "prebuilt landmark tables do not match this graph");
       require(costs.alt->t_move == costs.t_move &&

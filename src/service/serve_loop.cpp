@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "qasm/parser.hpp"
+#include "service/frame_stream.hpp"
 
 namespace qspr {
 
@@ -31,21 +32,12 @@ RetryEstimatorOptions retry_options(const ServeOptions& options) {
 /// request id to its ticket, which is where client cancels and disconnect /
 /// drain cancellation find the CancelSource to fire.
 struct MappingServer::Connection {
-  Connection(std::uint64_t id_in, FileDescriptor fd_in,
-             std::size_t max_frame_bytes)
-      : id(id_in), fd(std::move(fd_in)), reader(max_frame_bytes) {}
+  Connection(std::uint64_t id_in, FrameStream stream_in)
+      : id(id_in), stream(std::move(stream_in)) {}
 
   std::uint64_t id;
-  FileDescriptor fd;
-  FrameReader reader;
-  std::string outbox;
-  std::size_t outbox_at = 0;
-  bool read_closed = false;       // orderly EOF: no more requests
-  bool close_after_flush = false; // closed for cause once the outbox drains
-  bool broken = false;            // destroy immediately, drop the outbox
+  FrameStream stream;
   std::unordered_map<std::string, std::shared_ptr<ServeTicket>> pending;
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
 };
 
 MappingServer::MappingServer(ServeOptions options)
@@ -242,9 +234,7 @@ int MappingServer::serve() {
   const auto reap = [&] {
     scratch_ids.clear();
     for (const auto& [id, conn] : connections_) {
-      const bool flushed = conn->outbox_empty();
-      if (conn->broken || (conn->close_after_flush && flushed) ||
-          (conn->read_closed && flushed && conn->pending.empty())) {
+      if (conn->stream.reapable(!conn->pending.empty())) {
         scratch_ids.push_back(id);
       }
     }
@@ -280,11 +270,7 @@ int MappingServer::serve() {
     }
     const std::size_t first_conn_entry = entries.size();
     for (const auto& [id, conn] : connections_) {
-      PollEntry entry;
-      entry.fd = conn->fd.get();
-      entry.want_read = !conn->read_closed && !conn->close_after_flush;
-      entry.want_write = !conn->outbox_empty();
-      entries.push_back(entry);
+      entries.push_back(conn->stream.poll_entry());
       entry_conn.push_back(id);
     }
 
@@ -309,11 +295,13 @@ int MappingServer::serve() {
       if (it == connections_.end()) continue;
       Connection& conn = *it->second;
       if (entries[i].broken) {
-        conn.broken = true;
+        conn.stream.mark_broken();
         continue;
       }
       if (entries[i].readable) read_from(conn);
-      if (entries[i].writable && !conn.outbox_empty()) flush_outbox(conn);
+      if (entries[i].writable && !conn.stream.flush()) {
+        metrics_.count_connection_failed();
+      }
     }
 
     reap();
@@ -335,67 +323,56 @@ bool MappingServer::quiescent() {
     if (!completions_.empty()) return false;
   }
   for (const auto& [id, conn] : connections_) {
-    if (conn->broken) continue;  // dropped regardless
-    if (!conn->pending.empty() || !conn->outbox_empty()) return false;
+    if (conn->stream.broken()) continue;  // dropped regardless
+    if (!conn->pending.empty() || !conn->stream.outbox_empty()) return false;
   }
   return true;
 }
 
 void MappingServer::accept_clients() {
   while (true) {
-    FileDescriptor client = listen_.accept_client();
-    if (!client.valid()) return;
+    FrameStream stream(listen_.accept_client(), options_.max_frame_bytes,
+                       options_.max_outbox_bytes);
+    if (!stream.open()) return;
     if (static_cast<int>(connections_.size()) >= options_.max_connections) {
-      // Best-effort refusal; the daemon sheds connections, never queues them.
-      const std::string refusal =
-          serve_error_json("", "overloaded", "connection limit reached",
-                           retry_hint_ms()) +
-          "\n";
-      (void)write_some(client.get(), refusal);
+      stream.refuse_connection(retry_hint_ms());
       metrics_.count_connection_failed();
       continue;
     }
     const std::uint64_t id = next_connection_id_++;
-    connections_.emplace(
-        id, std::make_unique<Connection>(id, std::move(client),
-                                         options_.max_frame_bytes));
+    connections_.emplace(id,
+                         std::make_unique<Connection>(id, std::move(stream)));
     metrics_.count_connection_opened();
   }
 }
 
 void MappingServer::read_from(Connection& conn) {
-  char buffer[16384];
   std::vector<std::string> frames;
-  while (!conn.close_after_flush && !conn.broken) {
-    const IoResult io = read_some(conn.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed) {
-      // Orderly EOF. A non-empty partial frame is a mid-message disconnect:
-      // the truncated request is dropped (never half-parsed), and only this
-      // connection winds down.
-      conn.read_closed = true;
+  while (!conn.stream.closing() && !conn.stream.broken()) {
+    frames.clear();
+    const FrameStream::Read got = conn.stream.read(frames);
+    // At EOF a non-empty partial frame is a mid-message disconnect: the
+    // truncated request is dropped (never half-parsed), and only this
+    // connection winds down.
+    if (got == FrameStream::Read::WouldBlock ||
+        got == FrameStream::Read::Eof) {
       return;
     }
-    if (io.status == IoStatus::Error) {
-      conn.broken = true;
+    if (got == FrameStream::Read::Error) {
       metrics_.count_connection_failed();
       return;
     }
-    frames.clear();
-    if (!conn.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      // Frame over the byte cap: resynchronising inside it is guesswork, so
-      // answer once and close. Frames completed before the overflow still
-      // get handled below.
+    if (got == FrameStream::Read::Oversized) {
+      // Resynchronising inside an over-cap frame is guesswork, so answer
+      // once and close. A frame completed before the overflow still gets
+      // handled below.
       metrics_.count_bad_request();
-      enqueue_reply(conn,
-                    serve_error_json("", "oversized",
-                                     "frame exceeds max_frame_bytes; closing"));
-      conn.close_after_flush = true;
+      if (!conn.stream.refuse_oversized()) metrics_.count_connection_failed();
     }
     for (const std::string& frame : frames) {
       if (frame.empty()) continue;  // blank keep-alive lines are free
       handle_frame(conn, frame);
-      if (conn.close_after_flush || conn.broken) break;
+      if (conn.stream.closing() || conn.stream.broken()) break;
     }
   }
 }
@@ -572,40 +549,8 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
   metrics_.count_accepted();
 }
 
-void MappingServer::enqueue_reply(Connection& conn, std::string line) {
-  if (conn.broken) return;
-  const std::size_t buffered = conn.outbox.size() - conn.outbox_at;
-  if (buffered + line.size() + 1 > options_.max_outbox_bytes) {
-    // Reader slower than the bound: cut it rather than buffer unboundedly.
-    conn.broken = true;
-    metrics_.count_connection_failed();
-    return;
-  }
-  // Compact the consumed prefix opportunistically before growing.
-  if (conn.outbox_at > 0 && conn.outbox_at == conn.outbox.size()) {
-    conn.outbox.clear();
-    conn.outbox_at = 0;
-  }
-  conn.outbox.append(line);
-  conn.outbox.push_back('\n');
-  flush_outbox(conn);
-}
-
-void MappingServer::flush_outbox(Connection& conn) {
-  while (conn.outbox_at < conn.outbox.size()) {
-    const IoResult io = write_some(
-        conn.fd.get(), std::string_view(conn.outbox).substr(conn.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      conn.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;  // poll for POLLOUT
-    conn.broken = true;
-    metrics_.count_connection_failed();
-    return;
-  }
-  conn.outbox.clear();
-  conn.outbox_at = 0;
+void MappingServer::enqueue_reply(Connection& conn, std::string_view line) {
+  if (!conn.stream.send(line)) metrics_.count_connection_failed();
 }
 
 void MappingServer::deliver_completions() {
@@ -621,7 +566,7 @@ void MappingServer::deliver_completions() {
     const auto it = connections_.find(done.connection);
     if (it == connections_.end()) continue;  // client gone: reply dropped
     it->second->pending.erase(done.request_id);
-    enqueue_reply(*it->second, std::move(done.line));
+    enqueue_reply(*it->second, done.line);
   }
 }
 

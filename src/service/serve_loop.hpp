@@ -128,8 +128,7 @@ class MappingServer {
   void handle_map(Connection& conn, ServeRequest&& request);
   void handle_session_open(Connection& conn, const ServeRequest& request);
   void handle_session_close(Connection& conn, const ServeRequest& request);
-  void enqueue_reply(Connection& conn, std::string line);
-  void flush_outbox(Connection& conn);
+  void enqueue_reply(Connection& conn, std::string_view line);
   void deliver_completions();
   void destroy_connection(std::uint64_t id);
   [[nodiscard]] std::string stats_json(const std::string& id);

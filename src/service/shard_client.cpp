@@ -28,6 +28,16 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   return static_cast<int>(std::max<long long>(left, 0));
 }
 
+/// poll() on `fd` for reading or writing; returns the decoded entry.
+PollEntry wait_for(int fd, bool write, int timeout_ms) {
+  std::vector<PollEntry> entries(1);
+  entries[0].fd = fd;
+  entries[0].want_read = !write;
+  entries[0].want_write = write;
+  poll_fds(entries, timeout_ms);
+  return entries[0];
+}
+
 /// True when `code` is back-pressure the client should wait out rather than
 /// surface: the request itself was fine, the service just cannot take it
 /// right now.
@@ -66,53 +76,44 @@ ShardClient::ShardClient(ShardClientOptions options)
 }
 
 void ShardClient::disconnect() {
-  fd_.reset();
+  stream_ = FrameStream();
   inbox_.clear();
 }
 
 bool ShardClient::ensure_connected() {
-  if (fd_.valid()) return true;
+  if (stream_.open()) return true;
   inbox_.clear();
-  bool pending = false;
-  FileDescriptor fd;
   try {
-    fd = connect_nonblocking(options_.host, options_.port, pending);
+    // Replies carry the codec's frame cap: an over-cap reply is a transport
+    // failure, not unbounded buffering.
+    stream_ = FrameStream::connect(options_.host, options_.port,
+                                   CodecLimits{}.max_frame_bytes);
   } catch (const std::exception&) {
     return false;
   }
-  if (!fd.valid()) return false;  // synchronous refusal
-  if (pending) {
-    std::vector<PollEntry> entries(1);
-    entries[0].fd = fd.get();
-    entries[0].want_write = true;
-    poll_fds(entries, options_.connect_timeout_ms);
-    if (!entries[0].writable && !entries[0].broken) return false;  // timeout
-    if (pending_connect_error(fd.get()) != 0) return false;
+  if (!stream_.open()) return false;  // synchronous refusal
+  if (stream_.connecting()) {
+    const PollEntry ready =
+        wait_for(stream_.fd(), /*write=*/true, options_.connect_timeout_ms);
+    if ((!ready.writable && !ready.broken) ||  // timeout
+        !stream_.finish_connect()) {
+      disconnect();
+      return false;
+    }
   }
-  fd_ = std::move(fd);
   return true;
 }
 
-bool ShardClient::send_all(const std::string& payload, int deadline_ms) {
+bool ShardClient::send_line(const std::string& line, int deadline_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
-  std::size_t at = 0;
-  while (at < payload.size()) {
-    const IoResult io =
-        write_some(fd_.get(), std::string_view(payload).substr(at));
-    if (io.status == IoStatus::Ok) {
-      at += io.bytes;
-      continue;
-    }
-    if (io.status != IoStatus::WouldBlock) return false;
-    std::vector<PollEntry> entries(1);
-    entries[0].fd = fd_.get();
-    entries[0].want_write = true;
+  if (!stream_.send(line)) return false;
+  while (!stream_.outbox_empty()) {
     const int left = remaining_ms(deadline);
     if (left <= 0) return false;
-    poll_fds(entries, left);
-    if (entries[0].broken) return false;
-    if (!entries[0].writable) return false;  // timed out
+    const PollEntry ready = wait_for(stream_.fd(), /*write=*/true, left);
+    if (ready.broken || !ready.writable) return false;  // reset or timeout
+    if (!stream_.flush()) return false;
   }
   return true;
 }
@@ -120,44 +121,29 @@ bool ShardClient::send_all(const std::string& payload, int deadline_ms) {
 bool ShardClient::recv_line(std::string& reply, int deadline_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
-  char buffer[16384];
-  while (true) {
-    const std::size_t newline = inbox_.find('\n');
-    if (newline != std::string::npos) {
-      reply = inbox_.substr(0, newline);
-      inbox_.erase(0, newline + 1);
-      if (!reply.empty() && reply.back() == '\r') reply.pop_back();
-      return true;
+  while (inbox_.empty()) {
+    const FrameStream::Read got = stream_.read(inbox_);
+    if (got == FrameStream::Read::Frames) continue;
+    if (got != FrameStream::Read::WouldBlock) {
+      return false;  // EOF/reset before a full line, or an over-cap line
     }
-    const IoResult io = read_some(fd_.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::Ok) {
-      inbox_.append(buffer, io.bytes);
-      continue;
-    }
-    if (io.status == IoStatus::Closed || io.status == IoStatus::Error) {
-      return false;  // EOF/reset before a full line: transport failure
-    }
-    std::vector<PollEntry> entries(1);
-    entries[0].fd = fd_.get();
-    entries[0].want_read = true;
     const int left = remaining_ms(deadline);
     if (left <= 0) return false;
-    poll_fds(entries, left);
-    if (!entries[0].readable && !entries[0].broken) return false;  // timeout
+    const PollEntry ready = wait_for(stream_.fd(), /*write=*/false, left);
+    if (!ready.readable && !ready.broken) return false;  // timeout
   }
+  reply = std::move(inbox_.front());
+  inbox_.erase(inbox_.begin());
+  return true;
 }
 
 bool ShardClient::try_request(const std::string& line, std::string& reply) {
-  if (!ensure_connected()) {
-    ++transport_failures_;
-    return false;
-  }
-  if (!send_all(line + "\n", options_.request_timeout_ms) ||
+  if (!ensure_connected()) return false;
+  if (!send_line(line, options_.request_timeout_ms) ||
       !recv_line(reply, options_.request_timeout_ms)) {
     // A half-done round trip poisons the framing (a late reply would pair
     // with the wrong request), so the connection never survives a failure.
     disconnect();
-    ++transport_failures_;
     return false;
   }
   return true;

@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "common/net.hpp"
-#include "service/request_codec.hpp"
+#include "service/frame_stream.hpp"
 
 namespace qspr {
 
@@ -86,23 +86,17 @@ class ShardClient {
   /// Drops the current connection (next request reconnects).
   void disconnect();
 
-  [[nodiscard]] bool connected() const { return fd_.valid(); }
-
-  /// Transport attempts that failed so far (diagnostics for the bench).
-  [[nodiscard]] long long transport_failures() const {
-    return transport_failures_;
-  }
+  [[nodiscard]] bool connected() const { return stream_.open(); }
 
  private:
   [[nodiscard]] bool ensure_connected();
-  [[nodiscard]] bool send_all(const std::string& payload, int deadline_ms);
+  [[nodiscard]] bool send_line(const std::string& line, int deadline_ms);
   [[nodiscard]] bool recv_line(std::string& reply, int deadline_ms);
 
   ShardClientOptions options_;
   BackoffPolicy backoff_;
-  FileDescriptor fd_;
-  std::string inbox_;  // bytes received past the last returned line
-  long long transport_failures_ = 0;
+  FrameStream stream_;
+  std::vector<std::string> inbox_;  // frames received past the last reply
 };
 
 }  // namespace qspr

@@ -22,6 +22,9 @@ double ms_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/// Frame cap of the control lane: health replies are a few hundred bytes.
+constexpr std::size_t kControlFrameBytes = 1 << 16;
+
 std::chrono::steady_clock::time_point after_ms(
     std::chrono::steady_clock::time_point from, double ms) {
   return from + std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
@@ -132,24 +135,6 @@ int shard_for_fabric(const std::string& spec, int shard_count) {
 // ---------------------------------------------------------------------------
 // Internal structures.
 
-/// One upstream NDJSON connection from a specific client to a specific
-/// shard. Frames forward byte-verbatim in both directions, so the worker's
-/// replies need no id rewriting — and closing the lane is exactly a client
-/// disconnect from the worker's point of view (it cancels that
-/// connection's in-flight work), which is how client death propagates.
-struct ShardSupervisor::Lane {
-  explicit Lane(std::size_t max_frame_bytes) : reader(max_frame_bytes) {}
-
-  FileDescriptor fd;
-  bool connecting = false;
-  bool broken = false;
-  FrameReader reader;
-  std::string outbox;  // frames buffered until the connect completes
-  std::size_t outbox_at = 0;
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
-};
-
 /// What the supervisor owes a reply for: one accepted map frame, its
 /// original bytes (for re-dispatch), and how many worker deaths it has
 /// already survived.
@@ -161,17 +146,11 @@ struct ShardSupervisor::ParkedFrame {
 };
 
 struct ShardSupervisor::Client {
-  Client(std::uint64_t id_in, FileDescriptor fd_in, std::size_t max_frame)
-      : id(id_in), fd(std::move(fd_in)), reader(max_frame) {}
+  Client(std::uint64_t id_in, FrameStream stream_in)
+      : id(id_in), stream(std::move(stream_in)) {}
 
   std::uint64_t id;
-  FileDescriptor fd;
-  FrameReader reader;
-  std::string outbox;
-  std::size_t outbox_at = 0;
-  bool read_closed = false;
-  bool close_after_flush = false;
-  bool broken = false;
+  FrameStream stream;
 
   struct Pending {
     int shard = -1;
@@ -179,9 +158,13 @@ struct ShardSupervisor::Client {
     int attempts = 0;
   };
   std::unordered_map<std::string, Pending> pending;
-  std::unordered_map<int, Lane> lanes;  // shard index -> upstream socket
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
+  /// Shard index -> lane: one upstream connection from this client to that
+  /// shard. Frames forward byte-verbatim in both directions, so the
+  /// worker's replies need no id rewriting — and closing the lane is
+  /// exactly a client disconnect from the worker's point of view (it
+  /// cancels that connection's in-flight work), which is how client death
+  /// propagates. Lane outboxes are unbounded.
+  std::unordered_map<int, FrameStream> lanes;
 };
 
 struct ShardSupervisor::Shard {
@@ -196,11 +179,7 @@ struct ShardSupervisor::Shard {
 
   // Supervisor-owned control lane: health probes only. Kept separate from
   // client lanes so a probe never queues behind client traffic.
-  FileDescriptor control;
-  bool control_connecting = false;
-  FrameReader control_reader{1 << 16};
-  std::string control_outbox;
-  std::size_t control_outbox_at = 0;
+  FrameStream control;
   bool probe_outstanding = false;
   std::chrono::steady_clock::time_point probe_sent_at{};
   std::chrono::steady_clock::time_point next_probe_at{};
@@ -209,11 +188,7 @@ struct ShardSupervisor::Shard {
       : index(index_in), breaker(breaker_options) {}
 
   void reset_control() {
-    control.reset();
-    control_connecting = false;
-    control_reader = FrameReader(1 << 16);
-    control_outbox.clear();
-    control_outbox_at = 0;
+    control = FrameStream();
     probe_outstanding = false;
   }
 };
@@ -357,13 +332,8 @@ void ShardSupervisor::spawn_shard(int index) {
   }
 }
 
-void ShardSupervisor::kill_shard(int index, int signal) {
-  Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  if (shard.pid > 0) ::kill(shard.pid, signal);
-}
-
-/// A bring-up or health failure: put the shard Down, ensure the process is
-/// on its way out, and let the breaker schedule the next attempt.
+/// A bring-up, health or process failure: put the shard Down, ensure the
+/// process is on its way out, and let the breaker schedule the next attempt.
 void ShardSupervisor::shard_failed(int index, const char* why) {
   Shard& shard = *shards_[static_cast<std::size_t>(index)];
   if (!options_.quiet) {
@@ -374,9 +344,9 @@ void ShardSupervisor::shard_failed(int index, const char* why) {
   shard.phase = ShardPhase::Down;
   shard.reset_control();
   on_shard_down(index);
-  // Whichever detector notices a death first — this one (lane EOF, probe
-  // timeout) or the waitpid sweep — applies the one breaker action; the
-  // other sees phase Down and only reaps.
+  // Whichever detector notices a death first — the control lane, the
+  // bring-up deadline or the waitpid sweep — applies the one breaker
+  // action; a later one sees phase Down and only reaps.
   if (was_up) {
     count(&SupervisorMetrics::crashes);
     shard.breaker.force_open(std::chrono::steady_clock::now());
@@ -402,25 +372,11 @@ void ShardSupervisor::reap_children() {
       shard.reset_control();
       continue;
     }
-    const bool was_up = shard.phase == ShardPhase::Up;
-    shard.reset_control();
-    shard.phase = ShardPhase::Down;
-    on_shard_down(shard.index);
-    const auto now = std::chrono::steady_clock::now();
-    if (was_up) {
-      // Unexpected death of a serving worker: crash. Client lanes to it
-      // will EOF — buffered replies still arrive, then the unanswered
-      // remainder re-dispatches through fail_lane.
-      count(&SupervisorMetrics::crashes);
-      shard.breaker.force_open(now);
-    } else {
-      // Died during bring-up (exec failure exits 127, crash on boot...).
-      shard.breaker.record_failure(now);
-    }
-    if (!options_.quiet) {
-      std::cerr << "qspr_shard: shard " << shard.index << " exited ("
-                << (was_up ? "crash" : "bring-up failure") << ")\n";
-    }
+    // Unexpected death: a serving worker's crash (its lanes EOF; buffered
+    // replies still arrive, then the unanswered remainder re-dispatches
+    // through fail_lane) or a bring-up failure (exec failure exits 127,
+    // crash on boot...).
+    shard_failed(shard.index, "process exited");
   }
 }
 
@@ -444,59 +400,42 @@ void ShardSupervisor::pump_shard_bringup(int index) {
     shard.phase = ShardPhase::Connecting;
   }
 
-  if (shard.phase == ShardPhase::Connecting && !shard.control.valid()) {
-    bool pending = false;
-    FileDescriptor fd;
+  if (shard.phase == ShardPhase::Connecting && !shard.control.open()) {
     try {
-      fd = connect_nonblocking(options_.host, shard.port, pending);
+      shard.control =
+          FrameStream::connect(options_.host, shard.port, kControlFrameBytes);
     } catch (const std::exception&) {
       shard_failed(index, "control connect setup");
       return;
     }
-    if (!fd.valid()) return;  // refused outright; retry until the deadline
-    shard.control = std::move(fd);
-    shard.control_connecting = pending;
-    if (!pending) {
-      shard.phase = ShardPhase::Probing;
-      shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-      shard.probe_outstanding = true;
-      shard.probe_sent_at = now;
-      flush_control(index);
+    // A refused connect leaves the stream closed: retried until the
+    // deadline.
+    if (shard.control.open() && !shard.control.connecting()) {
+      begin_probing(index);
     }
   }
 }
 
-void ShardSupervisor::flush_control(int index) {
+void ShardSupervisor::begin_probing(int index) {
+  shards_[static_cast<std::size_t>(index)]->phase = ShardPhase::Probing;
+  send_health_probe(index);
+}
+
+void ShardSupervisor::send_health_probe(int index) {
   Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  while (shard.control.valid() && !shard.control_connecting &&
-         shard.control_outbox_at < shard.control_outbox.size()) {
-    const IoResult io = write_some(
-        shard.control.get(),
-        std::string_view(shard.control_outbox).substr(shard.control_outbox_at));
-    if (io.status == IoStatus::Ok) {
-      shard.control_outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
+  shard.probe_outstanding = true;
+  shard.probe_sent_at = std::chrono::steady_clock::now();
+  if (!shard.control.send(R"({"type":"health","id":"hb"})")) {
     shard_failed(index, "control lane write");
-    return;
-  }
-  if (shard.control_outbox_at >= shard.control_outbox.size()) {
-    shard.control_outbox.clear();
-    shard.control_outbox_at = 0;
   }
 }
 
 void ShardSupervisor::send_health_probes() {
   const auto now = std::chrono::steady_clock::now();
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    if (shard.phase != ShardPhase::Up) continue;
-    if (shard.probe_outstanding || now < shard.next_probe_at) continue;
-    shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-    shard.probe_outstanding = true;
-    shard.probe_sent_at = now;
-    flush_control(shard.index);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->phase != ShardPhase::Up) continue;
+    if (shard->probe_outstanding || now < shard->next_probe_at) continue;
+    send_health_probe(shard->index);
   }
 }
 
@@ -518,7 +457,7 @@ void ShardSupervisor::check_health_timeouts() {
       std::cerr << "qspr_shard: shard " << shard.index
                 << " wedged (health timeout); killing\n";
     }
-    kill_shard(shard.index, SIGKILL);
+    if (shard.pid > 0) ::kill(shard.pid, SIGKILL);
     shard.phase = ShardPhase::Down;
     shard.reset_control();
     shard.breaker.force_open(now);
@@ -527,21 +466,19 @@ void ShardSupervisor::check_health_timeouts() {
 
 void ShardSupervisor::read_control(int index) {
   Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  char buffer[4096];
   std::vector<std::string> frames;
-  while (shard.control.valid()) {
-    const IoResult io = read_some(shard.control.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) break;
-    if (io.status == IoStatus::Closed || io.status == IoStatus::Error) {
+  while (shard.control.open()) {
+    frames.clear();
+    const FrameStream::Read got = shard.control.read(frames);
+    if (got == FrameStream::Read::WouldBlock) break;
+    if (got == FrameStream::Read::Eof || got == FrameStream::Read::Error) {
       if (shard.phase == ShardPhase::Up ||
           shard.phase == ShardPhase::Probing) {
         shard_failed(index, "control lane closed");
       }
       return;
     }
-    frames.clear();
-    if (!shard.control_reader.feed(std::string_view(buffer, io.bytes),
-                                   frames)) {
+    if (got == FrameStream::Read::Oversized) {
       shard_failed(index, "oversized control reply");
       return;
     }
@@ -588,46 +525,32 @@ void ShardSupervisor::read_control(int index) {
 
 void ShardSupervisor::accept_clients() {
   while (true) {
-    FileDescriptor client_fd = listen_.accept_client();
-    if (!client_fd.valid()) return;
+    FrameStream stream(listen_.accept_client(), options_.max_frame_bytes,
+                       options_.max_outbox_bytes);
+    if (!stream.open()) return;
     if (static_cast<int>(clients_.size()) >= options_.max_connections) {
-      const std::string refusal =
-          serve_error_json("", "overloaded", "connection limit reached", 100) +
-          "\n";
-      (void)write_some(client_fd.get(), refusal);
+      stream.refuse_connection(100);
       continue;
     }
     const std::uint64_t id = next_client_id_++;
-    clients_.emplace(id, std::make_unique<Client>(id, std::move(client_fd),
-                                                  options_.max_frame_bytes));
+    clients_.emplace(id, std::make_unique<Client>(id, std::move(stream)));
   }
 }
 
 void ShardSupervisor::read_client(Client& client) {
-  char buffer[16384];
   std::vector<std::string> frames;
-  while (!client.close_after_flush && !client.broken) {
-    const IoResult io = read_some(client.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed) {
-      client.read_closed = true;
-      return;
-    }
-    if (io.status == IoStatus::Error) {
-      client.broken = true;
-      return;
-    }
+  while (!client.stream.closing() && !client.stream.broken()) {
     frames.clear();
-    if (!client.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      enqueue_client_reply(
-          client, serve_error_json("", "oversized",
-                                   "frame exceeds max_frame_bytes; closing"));
-      client.close_after_flush = true;
+    const FrameStream::Read got = client.stream.read(frames);
+    if (got == FrameStream::Read::WouldBlock ||
+        got == FrameStream::Read::Eof || got == FrameStream::Read::Error) {
+      return;
     }
+    if (got == FrameStream::Read::Oversized) client.stream.refuse_oversized();
     for (std::string& frame : frames) {
       if (frame.empty()) continue;
       handle_client_frame(client, std::move(frame));
-      if (client.close_after_flush || client.broken) break;
+      if (client.stream.closing() || client.stream.broken()) break;
     }
   }
 }
@@ -637,42 +560,37 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
   try {
     request = parse_serve_request(frame, codec_limits_, MapperOptions{});
   } catch (const std::exception& e) {
-    enqueue_client_reply(client,
-                         serve_error_json("", "bad_request", e.what()));
+    client.stream.send(serve_error_json("", "bad_request", e.what()));
     return;
   }
   switch (request.kind) {
     case RequestKind::Ping:
-      enqueue_client_reply(client, serve_pong_json(request.id));
+      client.stream.send(serve_pong_json(request.id));
       return;
     case RequestKind::Stats:
-      enqueue_client_reply(client, stats_json(request.id));
+      client.stream.send(stats_json(request.id));
       return;
     case RequestKind::Health:
-      enqueue_client_reply(client, health_json(request.id));
+      client.stream.send(health_json(request.id));
       return;
     case RequestKind::Cancel: {
       // Forward to the worker that holds the target; its ack flows back on
       // the same lane byte-verbatim. An unknown target is acked locally.
       const auto it = client.pending.find(request.cancel_target);
       if (it == client.pending.end()) {
-        enqueue_client_reply(client, serve_cancel_ack_json(
-                                         request.id, request.cancel_target,
-                                         /*found=*/false));
+        client.stream.send(serve_cancel_ack_json(
+            request.id, request.cancel_target, /*found=*/false));
         return;
       }
       const auto lane_it = client.lanes.find(it->second.shard);
-      if (lane_it == client.lanes.end() || lane_it->second.broken) {
+      if (lane_it == client.lanes.end() || !lane_it->second.open()) {
         // The worker died; the map request itself is already on the
         // re-dispatch path, so the cancel finds nothing to stop.
-        enqueue_client_reply(client, serve_cancel_ack_json(
-                                         request.id, request.cancel_target,
-                                         /*found=*/false));
+        client.stream.send(serve_cancel_ack_json(
+            request.id, request.cancel_target, /*found=*/false));
         return;
       }
-      lane_it->second.outbox += frame;
-      lane_it->second.outbox.push_back('\n');
-      flush_lane(lane_it->second);
+      lane_it->second.send(frame);
       return;
     }
     case RequestKind::SessionOpen:
@@ -688,16 +606,14 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
 void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
                                 std::string frame) {
   if (client.pending.count(request.id) != 0) {
-    enqueue_client_reply(client,
-                         serve_error_json(request.id, "bad_request",
-                                          "duplicate in-flight request id"));
+    client.stream.send(serve_error_json(request.id, "bad_request",
+                                        "duplicate in-flight request id"));
     return;
   }
   if (draining_) {
-    enqueue_client_reply(client,
-                         serve_error_json(request.id, "draining",
-                                          "supervisor is draining; retry "
-                                          "against a healthy instance"));
+    client.stream.send(serve_error_json(request.id, "draining",
+                                        "supervisor is draining; retry "
+                                        "against a healthy instance"));
     return;
   }
   int target;
@@ -708,11 +624,11 @@ void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
     // client to reopen rather than guessing a shard.
     const auto it = session_shards_.find(request.session);
     if (it == session_shards_.end()) {
-      enqueue_client_reply(
-          client,
-          serve_error_json(request.id, "unknown_session",
-                           "session not open on this fleet (its shard may "
-                           "have restarted; reopen): " + request.session));
+      client.stream.send(serve_error_json(
+          request.id, "unknown_session",
+          "session not open on this fleet (its shard may have restarted; "
+          "reopen): " +
+              request.session));
       return;
     }
     target = it->second;
@@ -735,112 +651,52 @@ void ShardSupervisor::on_shard_down(int index) {
   // session into an explicit unknown_session instead of silently aliasing
   // a fresh session minted by the replacement worker (which restarts its
   // session counter).
-  for (auto it = session_shards_.begin(); it != session_shards_.end();) {
-    if (it->second == index) {
-      it = session_shards_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(session_shards_,
+                [&](const auto& entry) { return entry.second == index; });
 }
 
 void ShardSupervisor::shed(Client& client, const std::string& request_id,
                            int shard_index) {
   count(&SupervisorMetrics::shed_shard_down);
-  enqueue_client_reply(
-      client, serve_error_json(request_id, "shard_down",
-                               "shard " + std::to_string(shard_index) +
-                                   " is down; retry after the hint",
-                               shard_retry_hint_ms(shard_index)));
+  client.stream.send(serve_error_json(request_id, "shard_down",
+                                      "shard " + std::to_string(shard_index) +
+                                          " is down; retry after the hint",
+                                      shard_retry_hint_ms(shard_index)));
 }
 
 void ShardSupervisor::dispatch(Client& client, const std::string& request_id,
                                std::string frame, int shard_index,
                                int attempts) {
-  Lane& lane = lane_for(client, shard_index);
-  lane.outbox += frame;
-  lane.outbox.push_back('\n');
+  FrameStream& lane = lane_for(client, shard_index);
+  lane.send(frame);  // a write failure leaves the lane to the fail_lane sweep
   Client::Pending pending;
   pending.shard = shard_index;
   pending.frame = std::move(frame);
   pending.attempts = attempts;
   client.pending[request_id] = std::move(pending);
-  if (!lane.connecting) flush_lane(lane);
 }
 
-ShardSupervisor::Lane& ShardSupervisor::lane_for(Client& client,
-                                                 int shard_index) {
-  const auto it = client.lanes.find(shard_index);
-  if (it != client.lanes.end() && !it->second.broken) return it->second;
-  client.lanes.erase(shard_index);
-  auto [inserted, _] = client.lanes.emplace(
-      shard_index, Lane(options_.max_frame_bytes));
-  Lane& lane = inserted->second;
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  bool pending = false;
+FrameStream& ShardSupervisor::lane_for(Client& client, int shard_index) {
+  FrameStream& lane = client.lanes[shard_index];
+  if (lane.open()) return lane;
   try {
-    lane.fd = connect_nonblocking(options_.host, shard.port, pending);
+    lane = FrameStream::connect(
+        options_.host, shards_[static_cast<std::size_t>(shard_index)]->port,
+        options_.max_frame_bytes);
   } catch (const std::exception&) {
-    lane.broken = true;
-    return lane;
+    lane = FrameStream();
   }
-  if (!lane.fd.valid()) {
-    lane.broken = true;  // refused: the shard just died; fail_lane handles it
-    return lane;
-  }
-  lane.connecting = pending;
+  // Refused: the shard just died; the fail_lane sweep handles it.
+  if (!lane.open()) lane.mark_broken();
   return lane;
 }
 
-void ShardSupervisor::pump_lane_connect(Client& client, int shard_index,
-                                        Lane& lane) {
-  if (!lane.connecting) return;
-  const int error = pending_connect_error(lane.fd.get());
-  lane.connecting = false;
-  if (error != 0) {
-    fail_lane(client, shard_index);
-    return;
-  }
-  flush_lane(lane);
-}
-
-void ShardSupervisor::flush_lane(Lane& lane) {
-  while (!lane.broken && lane.fd.valid() && !lane.connecting &&
-         lane.outbox_at < lane.outbox.size()) {
-    const IoResult io = write_some(
-        lane.fd.get(), std::string_view(lane.outbox).substr(lane.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      lane.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
-    lane.broken = true;  // fail_lane runs from the poll pass
-    return;
-  }
-  if (lane.outbox_at >= lane.outbox.size()) {
-    lane.outbox.clear();
-    lane.outbox_at = 0;
-  }
-}
-
-void ShardSupervisor::read_lane(Client& client, int shard_index, Lane& lane) {
-  char buffer[16384];
+void ShardSupervisor::read_lane(Client& client, int shard_index,
+                                FrameStream& lane) {
   std::vector<std::string> frames;
-  while (lane.fd.valid() && !lane.broken) {
-    const IoResult io = read_some(lane.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed || io.status == IoStatus::Error) {
-      // EOF after a worker death: everything the worker managed to write
-      // was already forwarded above; a partial trailing frame is dropped
-      // (never half-forwarded) and its request re-dispatches with the rest.
-      fail_lane(client, shard_index);
-      return;
-    }
+  while (true) {
     frames.clear();
-    if (!lane.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      fail_lane(client, shard_index);
-      return;
-    }
+    const FrameStream::Read got = lane.read(frames);
     for (const std::string& frame : frames) {
       std::string id;
       std::string session;
@@ -867,7 +723,15 @@ void ShardSupervisor::read_lane(Client& client, int shard_index, Lane& lane) {
           session_shards_[session] = shard_index;
         }
       }
-      enqueue_client_reply(client, frame);
+      client.stream.send(frame);
+    }
+    if (got == FrameStream::Read::WouldBlock) return;
+    if (got != FrameStream::Read::Frames) {
+      // EOF after a worker death: everything the worker managed to write
+      // was already forwarded above; a partial trailing frame is dropped
+      // (never half-forwarded) and its request re-dispatches with the rest.
+      fail_lane(client, shard_index);
+      return;
     }
   }
 }
@@ -899,33 +763,26 @@ void ShardSupervisor::redispatch_or_park(Client& client,
                                          std::string frame, int attempts) {
   if (draining_) {
     count(&SupervisorMetrics::answered);
-    enqueue_client_reply(
-        client, serve_error_json(request_id, "cancelled",
-                                 "supervisor drained before completion"));
+    client.stream.send(serve_error_json(
+        request_id, "cancelled", "supervisor drained before completion"));
     return;
   }
   if (attempts + 1 > options_.max_redispatch) {
     count(&SupervisorMetrics::answered);
     count(&SupervisorMetrics::shed_shard_down);
-    enqueue_client_reply(
-        client,
+    client.stream.send(
         serve_error_json(request_id, "shard_down",
                          "request outlived " + std::to_string(attempts + 1) +
                              " worker deaths; giving up",
                          shard_retry_hint_ms(-1)));
     return;
   }
-  const int target = pick_up_shard(/*preferred=*/-1);
+  const int target = pick_up_shard();
   if (target < 0) {
     // No shard alive right now: park until a restart comes Up. The client
     // just waits a little longer — its request is not lost.
     count(&SupervisorMetrics::parked);
-    ParkedFrame parked;
-    parked.client = client.id;
-    parked.request_id = request_id;
-    parked.frame = std::move(frame);
-    parked.attempts = attempts + 1;
-    parked_.push_back(std::move(parked));
+    parked_.push_back({client.id, request_id, std::move(frame), attempts + 1});
     return;
   }
   count(&SupervisorMetrics::redispatches);
@@ -947,53 +804,16 @@ void ShardSupervisor::flush_parked(int up_shard) {
   }
 }
 
-void ShardSupervisor::enqueue_client_reply(Client& client, std::string line) {
-  if (client.broken) return;
-  const std::size_t buffered = client.outbox.size() - client.outbox_at;
-  if (buffered + line.size() + 1 > options_.max_outbox_bytes) {
-    client.broken = true;
-    return;
-  }
-  if (client.outbox_at > 0 && client.outbox_at == client.outbox.size()) {
-    client.outbox.clear();
-    client.outbox_at = 0;
-  }
-  client.outbox += line;
-  client.outbox.push_back('\n');
-  flush_client(client);
-}
-
-void ShardSupervisor::flush_client(Client& client) {
-  while (client.outbox_at < client.outbox.size()) {
-    const IoResult io = write_some(
-        client.fd.get(),
-        std::string_view(client.outbox).substr(client.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      client.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
-    client.broken = true;
-    return;
-  }
-  client.outbox.clear();
-  client.outbox_at = 0;
-}
-
 void ShardSupervisor::destroy_client(std::uint64_t id) {
   const auto it = clients_.find(id);
   if (it == clients_.end()) return;
   // Closing the lanes is the cancellation: each worker sees its connection
   // from this client drop and cancels that connection's in-flight work.
-  const long long owed = static_cast<long long>(it->second->pending.size());
-  if (owed > 0) count(&SupervisorMetrics::answered, owed);
-  for (auto parked_it = parked_.begin(); parked_it != parked_.end();) {
-    if (parked_it->client == id) {
-      count(&SupervisorMetrics::answered);
-      parked_it = parked_.erase(parked_it);
-    } else {
-      ++parked_it;
-    }
+  const std::size_t parked = std::erase_if(
+      parked_, [&](const ParkedFrame& frame) { return frame.client == id; });
+  const std::size_t owed = it->second->pending.size() + parked;
+  if (owed > 0) {
+    count(&SupervisorMetrics::answered, static_cast<long long>(owed));
   }
   clients_.erase(it);
 }
@@ -1018,8 +838,7 @@ void ShardSupervisor::begin_drain() {
     const auto it = clients_.find(parked.client);
     count(&SupervisorMetrics::answered);
     if (it == clients_.end()) continue;
-    enqueue_client_reply(
-        *it->second,
+    it->second->stream.send(
         serve_error_json(parked.request_id, "draining",
                          "supervisor is draining; retry elsewhere"));
   }
@@ -1043,19 +862,13 @@ void ShardSupervisor::finish_drain() {
     shard->reset_control();
   }
   for (auto& [id, client] : clients_) {
-    std::vector<std::string> owed;
-    owed.reserve(client->pending.size());
+    client->lanes.clear();
     for (const auto& [request_id, pending] : client->pending) {
-      owed.push_back(request_id);
+      count(&SupervisorMetrics::answered);
+      client->stream.send(serve_error_json(
+          request_id, "cancelled", "drain deadline cancelled the request"));
     }
     client->pending.clear();
-    client->lanes.clear();
-    for (const std::string& request_id : owed) {
-      count(&SupervisorMetrics::answered);
-      enqueue_client_reply(
-          *client, serve_error_json(request_id, "cancelled",
-                                    "drain deadline cancelled the request"));
-    }
   }
 }
 
@@ -1069,12 +882,13 @@ int ShardSupervisor::poll_timeout_ms() const {
     const double ms = std::max(0.0, ms_between(now, at));
     if (timeout < 0.0 || ms < timeout) timeout = ms;
   };
+  // Port-file polling, connect retries and waitpid have no fd to wake on.
+  const auto tick = [&] { consider(after_ms(now, 20.0)); };
   for (const std::unique_ptr<Shard>& shard : shards_) {
     switch (shard->phase) {
       case ShardPhase::Spawning:
       case ShardPhase::Connecting:
-        // Port-file polling / connect retries have no fd to wake on.
-        timeout = timeout < 0.0 ? 20.0 : std::min(timeout, 20.0);
+        tick();
         break;
       case ShardPhase::Probing:
         consider(shard->phase_deadline);
@@ -1090,11 +904,10 @@ int ShardSupervisor::poll_timeout_ms() const {
           if (shard->breaker.state() == BreakerState::Open) {
             consider(shard->breaker.reopen_at());
           } else {
-            timeout = timeout < 0.0 ? 20.0 : std::min(timeout, 20.0);
+            tick();
           }
         } else if (shard->pid > 0) {
-          // Awaiting the waitpid of a killed process: tick soon.
-          timeout = timeout < 0.0 ? 20.0 : std::min(timeout, 20.0);
+          tick();  // awaiting the waitpid of a killed process
         }
         break;
     }
@@ -1104,11 +917,7 @@ int ShardSupervisor::poll_timeout_ms() const {
   return static_cast<int>(timeout) + 1;
 }
 
-int ShardSupervisor::pick_up_shard(int preferred) const {
-  if (preferred >= 0 &&
-      shards_[static_cast<std::size_t>(preferred)]->phase == ShardPhase::Up) {
-    return preferred;
-  }
+int ShardSupervisor::pick_up_shard() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->phase == ShardPhase::Up) return shard->index;
   }
@@ -1168,20 +977,16 @@ int ShardSupervisor::serve() {
       check_health_timeouts();
     }
 
-    // Reap clients exactly like the worker's serve loop does.
+    // Reap clients by the worker's rule (FrameStream::reapable); a parked
+    // frame is a reply still owed.
     scratch_ids.clear();
     for (const auto& [id, client] : clients_) {
-      bool has_parked = false;
-      for (const ParkedFrame& parked : parked_) {
-        if (parked.client == id) {
-          has_parked = true;
-          break;
-        }
-      }
-      const bool flushed = client->outbox_empty();
-      if (client->broken || (client->close_after_flush && flushed) ||
-          (client->read_closed && flushed && client->pending.empty() &&
-           !has_parked)) {
+      const bool has_parked =
+          std::any_of(parked_.begin(), parked_.end(),
+                      [&](const ParkedFrame& parked) {
+                        return parked.client == id;
+                      });
+      if (client->stream.reapable(!client->pending.empty() || has_parked)) {
         scratch_ids.push_back(id);
       }
     }
@@ -1195,9 +1000,9 @@ int ShardSupervisor::serve() {
       bool replies_owed = !parked_.empty();
       bool unflushed = false;
       for (const auto& [id, client] : clients_) {
-        if (client->broken) continue;
+        if (client->stream.broken()) continue;
         if (!client->pending.empty()) replies_owed = true;
-        if (!client->outbox_empty()) unflushed = true;
+        if (!client->stream.outbox_empty()) unflushed = true;
       }
       if (workers_gone && !replies_owed && (!unflushed || drain_killed_)) {
         break;
@@ -1214,30 +1019,16 @@ int ShardSupervisor::serve() {
       refs.push_back({EntryRef::Kind::Listen, 0, -1});
     }
     for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (!shard->control.valid()) continue;
-      PollEntry entry;
-      entry.fd = shard->control.get();
-      entry.want_read = !shard->control_connecting;
-      entry.want_write =
-          shard->control_connecting ||
-          shard->control_outbox_at < shard->control_outbox.size();
-      entries.push_back(entry);
+      if (!shard->control.open()) continue;
+      entries.push_back(shard->control.poll_entry());
       refs.push_back({EntryRef::Kind::Control, 0, shard->index});
     }
     for (const auto& [id, client] : clients_) {
-      PollEntry entry;
-      entry.fd = client->fd.get();
-      entry.want_read = !client->read_closed && !client->close_after_flush;
-      entry.want_write = !client->outbox_empty();
-      entries.push_back(entry);
+      entries.push_back(client->stream.poll_entry());
       refs.push_back({EntryRef::Kind::ClientFd, id, -1});
       for (const auto& [shard_index, lane] : client->lanes) {
-        if (!lane.fd.valid() || lane.broken) continue;
-        PollEntry lane_entry;
-        lane_entry.fd = lane.fd.get();
-        lane_entry.want_read = !lane.connecting;
-        lane_entry.want_write = lane.connecting || !lane.outbox_empty();
-        entries.push_back(lane_entry);
+        if (!lane.open()) continue;
+        entries.push_back(lane.poll_entry());
         refs.push_back({EntryRef::Kind::LaneFd, id, shard_index});
       }
     }
@@ -1256,42 +1047,36 @@ int ShardSupervisor::serve() {
           break;
         case EntryRef::Kind::Control: {
           Shard& shard = *shards_[static_cast<std::size_t>(ref.shard)];
-          if (!shard.control.valid() ||
-              shard.control.get() != entry.fd) {
+          if (!shard.control.open() || shard.control.fd() != entry.fd) {
             break;  // phase changed earlier this pass
           }
-          if (shard.control_connecting && (entry.writable || entry.broken)) {
-            shard.control_connecting = false;
-            if (pending_connect_error(shard.control.get()) != 0) {
-              shard.control.reset();  // retried by pump_shard_bringup
-              break;
+          if (shard.control.connecting()) {
+            if (!entry.writable && !entry.broken) break;
+            if (shard.control.finish_connect()) {
+              begin_probing(ref.shard);
+            } else {
+              shard.control = FrameStream();  // retried by pump_shard_bringup
             }
-            if (shard.phase == ShardPhase::Connecting) {
-              shard.phase = ShardPhase::Probing;
-              shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-              shard.probe_outstanding = true;
-              shard.probe_sent_at = std::chrono::steady_clock::now();
-            }
-            flush_control(ref.shard);
             break;
           }
           if (entry.readable || entry.broken) read_control(ref.shard);
-          if (shard.control.valid() && entry.writable) {
-            flush_control(ref.shard);
+          if (shard.control.open() && entry.writable &&
+              !shard.control.flush()) {
+            shard_failed(ref.shard, "control lane write");
           }
           break;
         }
         case EntryRef::Kind::ClientFd: {
           const auto it = clients_.find(ref.client);
           if (it == clients_.end()) break;
-          Client& client = *it->second;
-          if (client.fd.get() != entry.fd) break;
+          FrameStream& stream = it->second->stream;
+          if (stream.fd() != entry.fd) break;
           if (entry.broken) {
-            client.broken = true;
+            stream.mark_broken();
             break;
           }
-          if (entry.readable) read_client(client);
-          if (entry.writable && !client.outbox_empty()) flush_client(client);
+          if (entry.readable) read_client(*it->second);
+          if (entry.writable) stream.flush();
           break;
         }
         case EntryRef::Kind::LaneFd: {
@@ -1300,10 +1085,12 @@ int ShardSupervisor::serve() {
           Client& client = *it->second;
           const auto lane_it = client.lanes.find(ref.shard);
           if (lane_it == client.lanes.end()) break;
-          Lane& lane = lane_it->second;
-          if (!lane.fd.valid() || lane.fd.get() != entry.fd) break;
-          if (lane.connecting && (entry.writable || entry.broken)) {
-            pump_lane_connect(client, ref.shard, lane);
+          FrameStream& lane = lane_it->second;
+          if (!lane.open() || lane.fd() != entry.fd) break;
+          if (lane.connecting()) {
+            if ((entry.writable || entry.broken) && !lane.finish_connect()) {
+              fail_lane(client, ref.shard);
+            }
             break;
           }
           // Read before acting on broken: a dead worker's final replies
@@ -1313,12 +1100,8 @@ int ShardSupervisor::serve() {
             read_lane(client, ref.shard, lane);
           }
           const auto again = client.lanes.find(ref.shard);
-          if (again != client.lanes.end()) {
-            if (again->second.broken) {
-              fail_lane(client, ref.shard);
-            } else if (entry.writable) {
-              flush_lane(again->second);
-            }
+          if (again != client.lanes.end() && entry.writable) {
+            again->second.flush();  // a failure is left to the sweep below
           }
           break;
         }
@@ -1326,19 +1109,13 @@ int ShardSupervisor::serve() {
     }
 
     // Lanes whose writes failed outside a poll pass (dispatch to a
-    // just-died worker) re-dispatch here.
-    scratch_ids.clear();
-    for (const auto& [id, client] : clients_) scratch_ids.push_back(id);
-    for (const std::uint64_t id : scratch_ids) {
-      const auto it = clients_.find(id);
-      if (it == clients_.end()) continue;
+    // just-died worker) re-dispatch here. fail_lane never drops a client.
+    for (auto& [id, client] : clients_) {
       std::vector<int> broken_lanes;
-      for (const auto& [shard_index, lane] : it->second->lanes) {
-        if (lane.broken) broken_lanes.push_back(shard_index);
+      for (const auto& [shard_index, lane] : client->lanes) {
+        if (!lane.open()) broken_lanes.push_back(shard_index);
       }
-      for (const int shard_index : broken_lanes) {
-        fail_lane(*it->second, shard_index);
-      }
+      for (const int shard_index : broken_lanes) fail_lane(*client, shard_index);
     }
   }
 

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "common/net.hpp"
+#include "service/frame_stream.hpp"
 #include "service/request_codec.hpp"
 #include "service/shard_client.hpp"
 
@@ -221,19 +222,18 @@ class ShardSupervisor {
   };
 
   struct Shard;
-  struct Lane;
   struct Client;
   struct ParkedFrame;
 
   // Worker lifecycle.
   void spawn_shard(int index);
   void shard_failed(int index, const char* why);
-  void kill_shard(int index, int signal);
   void reap_children();
   void pump_shard_bringup(int index);
+  void begin_probing(int index);
+  void send_health_probe(int index);
   void send_health_probes();
   void check_health_timeouts();
-  void flush_control(int index);
   void read_control(int index);
 
   // Client plumbing. route_map also carries session_open / session_close
@@ -246,15 +246,11 @@ class ShardSupervisor {
                  std::string frame);
   void dispatch(Client& client, const std::string& request_id,
                 std::string frame, int shard_index, int attempts);
-  void enqueue_client_reply(Client& client, std::string line);
-  void flush_client(Client& client);
   void destroy_client(std::uint64_t id);
 
   // Lane plumbing.
-  Lane& lane_for(Client& client, int shard_index);
-  void pump_lane_connect(Client& client, int shard_index, Lane& lane);
-  void read_lane(Client& client, int shard_index, Lane& lane);
-  void flush_lane(Lane& lane);
+  FrameStream& lane_for(Client& client, int shard_index);
+  void read_lane(Client& client, int shard_index, FrameStream& lane);
   void fail_lane(Client& client, int shard_index);
 
   // Failure routing.
@@ -271,7 +267,7 @@ class ShardSupervisor {
   void finish_drain();
 
   [[nodiscard]] int poll_timeout_ms() const;
-  [[nodiscard]] int pick_up_shard(int preferred) const;
+  [[nodiscard]] int pick_up_shard() const;
   [[nodiscard]] int shard_retry_hint_ms(int index) const;
   [[nodiscard]] std::string stats_json(const std::string& id) const;
   [[nodiscard]] std::string health_json(const std::string& id) const;

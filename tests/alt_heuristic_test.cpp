@@ -49,8 +49,7 @@ TEST(AltTables, SelectionAndTablesAreDeterministicAcrossRebuilds) {
   const LandmarkTables second = build_landmark_tables(graph, t_move, turn, 8);
   ASSERT_EQ(first.k(), 8);
   EXPECT_EQ(first.landmarks, second.landmarks);
-  EXPECT_EQ(first.forward, second.forward);   // bit-identical doubles
-  EXPECT_EQ(first.backward, second.backward);
+  EXPECT_EQ(first.distance, second.distance);  // bit-identical doubles
 
   // Rebuilding over the selected landmark set with a reused arena
   // reproduces the tables bit for bit.
@@ -58,8 +57,7 @@ TEST(AltTables, SelectionAndTablesAreDeterministicAcrossRebuilds) {
   LandmarkTables rebuilt;
   build_landmark_tables(graph, t_move, turn, first.landmarks, arena, rebuilt);
   EXPECT_EQ(rebuilt.landmarks, first.landmarks);
-  EXPECT_EQ(rebuilt.forward, first.forward);
-  EXPECT_EQ(rebuilt.backward, first.backward);
+  EXPECT_EQ(rebuilt.distance, first.distance);
 }
 
 TEST(AltTables, LandmarksAreDistinctAndSpread) {
@@ -75,11 +73,10 @@ TEST(AltTables, LandmarksAreDistinctAndSpread) {
             [](RouteNodeId a, RouteNodeId b) { return a.index() < b.index(); });
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
       << "duplicate landmark selected";
-  // Every landmark's self-distance is zero in both tables.
+  // Every landmark's self-distance is zero.
   for (int i = 0; i < tables.k(); ++i) {
     const std::size_t v = tables.landmarks[i].index();
-    EXPECT_EQ(tables.forward_row(v)[i], 0.0);
-    EXPECT_EQ(tables.backward_row(v)[i], 0.0);
+    EXPECT_EQ(tables.row(v)[i], 0.0);
   }
 }
 
@@ -104,20 +101,16 @@ void expect_combined_bound_consistent(const RoutingGraph& graph,
   for (const Trap& trap : fabric.traps()) {
     const Position endpoint = trap.position;
     const RouteNodeId endpoint_node = graph.trap_node(trap.id);
-    const double* end_fwd = tables.forward_row(endpoint_node.index());
-    const double* end_bwd = tables.backward_row(endpoint_node.index());
+    const double* end_row = tables.row(endpoint_node.index());
     const auto h_forward = [&](RouteNodeId id, const RouteNode& node) {
       return std::max(
           grid_lower_bound<double>(node, endpoint, t_move, turn_cost),
-          alt_lower_bound(tables.forward_row(id.index()),
-                          tables.backward_row(id.index()), end_fwd, end_bwd,
-                          k));
+          alt_lower_bound(tables.row(id.index()), end_row, k));
     };
     const auto h_backward = [&](RouteNodeId id, const RouteNode& node) {
       return std::max(
           grid_lower_bound<double>(node, endpoint, t_move, turn_cost),
-          alt_lower_bound(end_fwd, end_bwd, tables.forward_row(id.index()),
-                          tables.backward_row(id.index()), k));
+          alt_lower_bound(end_row, tables.row(id.index()), k));
     };
     for (std::size_t u = 0; u < graph.node_count(); ++u) {
       const RouteNodeId id = RouteNodeId::from_index(u);
@@ -187,12 +180,9 @@ TEST(AltConsistency, BaseTablesConsistentUnderNegotiatedWeights) {
   constexpr double kEps = 1e-9;
   for (const Trap& trap : fabric.traps()) {
     const RouteNodeId endpoint = graph.trap_node(trap.id);
-    const double* end_fwd = tables.forward_row(endpoint.index());
-    const double* end_bwd = tables.backward_row(endpoint.index());
+    const double* end_row = tables.row(endpoint.index());
     const auto h = [&](RouteNodeId id) {
-      return alt_lower_bound(tables.forward_row(id.index()),
-                             tables.backward_row(id.index()), end_fwd, end_bwd,
-                             k);
+      return alt_lower_bound(tables.row(id.index()), end_row, k);
     };
     for (std::size_t u = 0; u < graph.node_count(); ++u) {
       const RouteNodeId id = RouteNodeId::from_index(u);

@@ -232,5 +232,74 @@ TEST(PlacementFlowGolden, PaperFabricResultsMatchRecordedOutcomes) {
   }
 }
 
+// Every reported timing lives in the reported trace's frame, backward
+// winners included: the same rows as the golden anchor above.
+TEST(PlacementFlowGolden, TimingsFollowTheReportedTrace) {
+  struct Row {
+    const char* flow;
+    MapperKind kind;
+    PlacerKind placer;
+    std::uint64_t rng_seed;
+  };
+  const Row rows[] = {
+      {"mvfb", MapperKind::Qspr, PlacerKind::Mvfb, 1},
+      {"mvfb", MapperKind::Qspr, PlacerKind::Mvfb, 6},  // backward winner
+      {"mc", MapperKind::Qspr, PlacerKind::MonteCarlo, 1},
+      {"center", MapperKind::Qspr, PlacerKind::Center, 1},
+      {"quale", MapperKind::Quale, PlacerKind::Mvfb, 1},
+      {"qpos", MapperKind::Qpos, PlacerKind::Mvfb, 1},
+  };
+  const Fabric fabric = make_paper_fabric();
+  for (const Row& row : rows) {
+    for (const QeccCode code :
+         {QeccCode::Q5_1_3, QeccCode::Q7_1_3, QeccCode::Q23_1_7}) {
+      if (row.rng_seed == 6 && code != QeccCode::Q5_1_3) continue;
+      const Program program = make_encoder(code);
+      const DependencyGraph qidg = DependencyGraph::build(program);
+      for (const int jobs : {1, 4}) {
+        MapperOptions options;
+        options.kind = row.kind;
+        options.placer = row.placer;
+        options.mvfb_seeds = 8;
+        options.monte_carlo_trials = 8;
+        options.rng_seed = row.rng_seed;
+        options.jobs = jobs;
+        const MapResult result = map_program(program, fabric, options);
+        const std::string label = std::string(row.flow) + " " +
+                                  code_name(code) + " rng_seed " +
+                                  std::to_string(row.rng_seed) + " jobs " +
+                                  std::to_string(jobs);
+        ASSERT_EQ(result.timings.size(), qidg.node_count()) << label;
+        int gates = 0;
+        for (const MicroOp& op : result.trace.ops()) {
+          if (op.kind != MicroOpKind::Gate) continue;
+          ++gates;
+          const InstructionTiming& timing =
+              result.timings[op.instruction.index()];
+          EXPECT_EQ(timing.gate_start, op.start) << label;
+          EXPECT_EQ(timing.gate_end, op.end) << label;
+        }
+        EXPECT_EQ(gates, static_cast<int>(qidg.node_count())) << label;
+        Duration routing = 0;
+        Duration congestion = 0;
+        for (std::size_t i = 0; i < result.timings.size(); ++i) {
+          const InstructionTiming& timing = result.timings[i];
+          EXPECT_LE(timing.ready, timing.issue) << label << " #" << i;
+          EXPECT_LE(timing.issue, timing.gate_start) << label << " #" << i;
+          for (const InstructionId pred :
+               qidg.predecessors(InstructionId::from_index(i))) {
+            EXPECT_GE(timing.ready, result.timings[pred.index()].gate_end)
+                << label << " #" << i;
+          }
+          routing += timing.t_routing();
+          congestion += timing.t_congestion();
+        }
+        EXPECT_EQ(result.stats.total_routing, routing) << label;
+        EXPECT_EQ(result.stats.total_congestion, congestion) << label;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qspr

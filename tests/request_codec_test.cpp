@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/result_cache.hpp"
 #include "service/request_codec.hpp"
 
@@ -175,6 +176,120 @@ TEST_F(ParseRequestTest, SessionFramesParse) {
       parse(R"({"type":"session_close","id":"c1","session":"s1"})");
   EXPECT_EQ(close.kind, RequestKind::SessionClose);
   EXPECT_EQ(close.session, "s1");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutational fuzzing of the wire codec, from frames a qspr_serve
+// session sends (the CI serve smokes and docs/serve.md). Fixed seed and
+// iteration count, so a failure reproduces exactly; the ASan+UBSan build
+// runs these too.
+
+const std::vector<std::string>& recorded_frames() {
+  static const std::vector<std::string> frames = {
+      R"({"type":"map","id":"good-0","qasm":"QUBIT q0,0\nQUBIT q1,0\nH q0\nC-X q0,q1\nMEASURE q1\n","placer":"mc","m":3,"seed":1})",
+      R"({"type":"map","id":"r1","qasm":"QUBIT q0,0\nH q0\n","fabric":"paper","mapper":"qspr","placer":"mvfb","m":8,"seed":1,"deadline_ms":5000,"landmarks":8,"heuristic_weight":1.0})",
+      R"({"type":"ping","id":"alive"})",
+      R"({"type":"stats","id":"s"})",
+      R"({"type":"health","id":"hb"})",
+      R"({"type":"cancel","id":"c1","target":"r1"})",
+      R"({"type":"session_open","id":"o1","fabric":"paper"})",
+      R"({"type":"map","id":"m2","session":"s1","qasm_append":"C-X q0,q2","placer":"mc","m":4,"seed":1})",
+      R"({"type":"session_close","id":"c2","session":"s1"})",
+  };
+  return frames;
+}
+
+/// One random edit: flip a byte, insert random bytes, delete a range, or
+/// splice in a chunk of another recorded frame.
+void mutate_frame(std::string& frame, Rng& rng) {
+  const std::string& donor =
+      recorded_frames()[rng.uniform_index(recorded_frames().size())];
+  const std::size_t at = rng.uniform_index(frame.size() + 1);
+  switch (rng.uniform_index(4)) {
+    case 0:
+      if (!frame.empty()) {
+        frame[rng.uniform_index(frame.size())] =
+            static_cast<char>(rng.uniform_index(256));
+      }
+      break;
+    case 1:
+      for (std::size_t n = 1 + rng.uniform_index(8); n > 0; --n) {
+        frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>(rng.uniform_index(256)));
+      }
+      break;
+    case 2:
+      if (at < frame.size()) frame.erase(at, 1 + rng.uniform_index(16));
+      break;
+    default:
+      frame.replace(at, rng.uniform_index(17),
+                    donor.substr(rng.uniform_index(donor.size()),
+                                 1 + rng.uniform_index(32)));
+      break;
+  }
+}
+
+TEST(RequestCodecFuzz, MutatedServeFramesParseOrThrowError) {
+  Rng rng(2026);
+  const CodecLimits limits;
+  constexpr int kIterations = 4000;
+  int parsed = 0;
+  int rejected = 0;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::string frame =
+        recorded_frames()[rng.uniform_index(recorded_frames().size())];
+    for (std::size_t m = 1 + rng.uniform_index(4); m > 0; --m) {
+      mutate_frame(frame, rng);
+    }
+    try {
+      (void)parse_serve_request(frame, limits, MapperOptions{});
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iteration << ": non-qspr exception "
+                    << e.what() << " on frame:\n"
+                    << frame;
+    }
+  }
+  // Both outcomes must occur, or the mutator has stopped exercising one
+  // side of the codec.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(parsed + rejected, kIterations);
+}
+
+TEST(RequestCodecFuzz, FramingIsIndependentOfChunkBoundaries) {
+  Rng rng(2027);
+  constexpr std::size_t kCap = 160;  // some recorded frames exceed it
+  int overflowed = 0;
+  for (int iteration = 0; iteration < 500; ++iteration) {
+    std::string stream;
+    for (std::size_t n = 1 + rng.uniform_index(6); n > 0; --n) {
+      std::string frame =
+          recorded_frames()[rng.uniform_index(recorded_frames().size())];
+      if (rng.uniform_index(2) == 0) mutate_frame(frame, rng);
+      stream += frame + (rng.uniform_index(3) == 0 ? "\r\n" : "\n");
+    }
+    FrameReader whole(kCap);
+    std::vector<std::string> expected;
+    const bool whole_ok = whole.feed(stream, expected);
+    overflowed += whole_ok ? 0 : 1;
+
+    FrameReader chunked(kCap);
+    std::vector<std::string> frames;
+    bool chunked_ok = true;
+    for (std::size_t at = 0; at < stream.size() && chunked_ok;) {
+      const std::size_t size = 1 + rng.uniform_index(48);
+      chunked_ok = chunked.feed(std::string_view(stream).substr(at, size),
+                                frames);
+      at += size;
+    }
+    EXPECT_EQ(chunked_ok, whole_ok) << "iteration " << iteration;
+    EXPECT_EQ(frames, expected) << "iteration " << iteration;
+  }
+  EXPECT_GT(overflowed, 0);
+  EXPECT_LT(overflowed, 500);
 }
 
 }  // namespace

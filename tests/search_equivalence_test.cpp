@@ -63,36 +63,51 @@ double uncongested_weight(const RouteEdge& edge, double t_move,
 }
 
 /// Textbook Dijkstra (binary heap with lazy deletion, fresh per-query
-/// state) from trap `from` to trap `to` under the searches' one pruning
-/// rule: a move may not enter any trap but the target.
-double oracle_distance(const RoutingGraph& graph, TrapId from, TrapId to,
-                       double t_move, double turn_cost) {
-  const RouteNodeId source = graph.trap_node(from);
-  const RouteNodeId target = graph.trap_node(to);
-  std::vector<double> dist(graph.node_count(),
+/// state) from node `source`; `for_each_edge(u, relax)` calls
+/// relax(v, weight) for every edge u -> v the query may take. Stops once
+/// `target` settles (never, for the default).
+template <typename ForEachEdge>
+std::vector<double> textbook_dijkstra(
+    std::size_t node_count, std::size_t source, ForEachEdge&& for_each_edge,
+    std::size_t target = std::numeric_limits<std::size_t>::max()) {
+  std::vector<double> dist(node_count,
                            std::numeric_limits<double>::infinity());
   using Entry = std::pair<double, std::size_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[source.index()] = 0.0;
-  heap.push({0.0, source.index()});
+  dist[source] = 0.0;
+  heap.push({0.0, source});
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) continue;
-    if (u == target.index()) return d;
-    for (const RouteEdge& edge : graph.edges(RouteNodeId::from_index(u))) {
-      if (!edge.is_turn && graph.node(edge.to).is_trap && edge.to != target) {
-        continue;
+    if (u == target) break;
+    for_each_edge(u, [&](std::size_t v, double weight) {
+      if (d + weight < dist[v]) {
+        dist[v] = d + weight;
+        heap.push({dist[v], v});
       }
-      const double candidate =
-          d + uncongested_weight(edge, t_move, turn_cost);
-      if (candidate < dist[edge.to.index()]) {
-        dist[edge.to.index()] = candidate;
-        heap.push({candidate, edge.to.index()});
-      }
-    }
+    });
   }
-  return std::numeric_limits<double>::infinity();
+  return dist;
+}
+
+/// The oracle for one search from trap `from` to trap `to` under the
+/// searches' one pruning rule: a move may not enter any trap but the target.
+double oracle_distance(const RoutingGraph& graph, TrapId from, TrapId to,
+                       double t_move, double turn_cost) {
+  const RouteNodeId target = graph.trap_node(to);
+  return textbook_dijkstra(
+      graph.node_count(), graph.trap_node(from).index(),
+      [&](std::size_t u, const auto& relax) {
+        for (const RouteEdge& edge : graph.edges(RouteNodeId::from_index(u))) {
+          if (!edge.is_turn && graph.node(edge.to).is_trap &&
+              edge.to != target) {
+            continue;
+          }
+          relax(edge.to.index(), uncongested_weight(edge, t_move, turn_cost));
+        }
+      },
+      target.index())[target.index()];
 }
 
 /// Recomputes the selection cost of a returned node path edge by edge,
@@ -195,6 +210,46 @@ TEST(SearchOracleTest, PaperFabricSearchesAreOptimal) {
   // Long hauls across the 45x85 fabric: the regime the bidirectional
   // search and the landmark bound exist for.
   expect_searches_match_oracle(make_paper_fabric(), 24);
+}
+
+/// The landmark table holds d(v -> L) for every node v and landmark L: the
+/// oracle runs from L over the reversed through-trap graph (no pruning, the
+/// tables' metric), so the check does not lean on the metric's symmetry.
+void expect_landmark_table_matches_oracle(const Fabric& fabric) {
+  const RoutingGraph graph(fabric);
+  const TechnologyParams params;
+  const double t_move = static_cast<double>(params.t_move);
+  const double turn_cost = static_cast<double>(params.t_turn);
+  const LandmarkTables tables =
+      build_landmark_tables(graph, t_move, turn_cost, 8);
+  ASSERT_EQ(tables.k(), 8);
+  std::vector<std::vector<std::pair<std::size_t, double>>> incoming(
+      graph.node_count());
+  for (std::size_t u = 0; u < graph.node_count(); ++u) {
+    for (const RouteEdge& edge : graph.edges(RouteNodeId::from_index(u))) {
+      incoming[edge.to.index()].push_back(
+          {u, uncongested_weight(edge, t_move, turn_cost)});
+    }
+  }
+  for (int i = 0; i < tables.k(); ++i) {
+    const std::vector<double> to_landmark = textbook_dijkstra(
+        graph.node_count(), tables.landmarks[i].index(),
+        [&](std::size_t u, const auto& relax) {
+          for (const auto& [v, weight] : incoming[u]) relax(v, weight);
+        });
+    for (std::size_t v = 0; v < graph.node_count(); ++v) {
+      ASSERT_EQ(tables.row(v)[i], to_landmark[v])
+          << "node " << v << " landmark " << i;
+    }
+  }
+}
+
+TEST(SearchOracleTest, LandmarkTableIsDistanceToEachLandmarkOnLinearFabric) {
+  expect_landmark_table_matches_oracle(make_linear_fabric(10));
+}
+
+TEST(SearchOracleTest, LandmarkTableIsDistanceToEachLandmarkOnPaperFabric) {
+  expect_landmark_table_matches_oracle(make_paper_fabric());
 }
 
 TEST(SearchDeterminismTest, RepeatedRunsProduceIdenticalPaths) {
